@@ -8,10 +8,8 @@ off by default for exactly this reason; opt in with --timing wall).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -127,9 +125,8 @@ def _benchmark_command(args) -> int:
         print("error: all sizes must be at least 2", file=sys.stderr)
         return 2
 
-    # instances are drawn sequentially from one stream, so the table is a
-    # pure function of (d, sizes, trials, marginals, seed) no matter how many
-    # worker threads run the solves
+    # all instances are drawn from one stream before any solve starts, so the
+    # table is a pure function of (d, sizes, trials, marginals, seed)
     rng = SplitMix64(args.seed)
     jobs = []
     for n in args.sizes:
@@ -137,22 +134,14 @@ def _benchmark_command(args) -> int:
             jobs.append((n, trial, random_instance((n,) * args.d, "U", rng, args.marginals)))
 
     config = SolverConfig(epsilon=args.epsilon)
-
-    def run(job):
-        n, trial, problem = job
-        started = time.perf_counter()
-        report = short_step_solve(problem, config)
-        elapsed = time.perf_counter() - started
-        oracle_value = solve_lp(problem).value if args.oracle else None
-        return n, trial, report, oracle_value, elapsed
-
-    workers = max(1, int(os.environ.get("TOT_IPM_THREADS", "1")))
+    results = []
     try:
-        if workers == 1:
-            results = [run(job) for job in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, jobs))
+        for n, trial, problem in jobs:
+            started = time.perf_counter()
+            report = short_step_solve(problem, config)
+            elapsed = time.perf_counter() - started
+            oracle_value = solve_lp(problem).value if args.oracle else None
+            results.append((n, trial, report, oracle_value, elapsed))
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -29,6 +29,8 @@ __all__ = [
     "residual",
     "residual_norm",
     "adjoint_marginals",
+    "MarginalOperator",
+    "marginal_rhs",
     "null_basis",
     "null_basis_matrix",
     "null_space_dim",
@@ -62,12 +64,18 @@ class MarginalProblem:
             raise ValueError(
                 f"cost has {cost.ndim} modes but {len(margs)} marginals were given"
             )
+        if not np.all(np.isfinite(cost)):
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(cost))[0])
+            raise ValueError(
+                f"cost entry {bad} is {float(cost[bad])!r}; every cost must be finite"
+            )
         for k, p in enumerate(margs):
             if p.ndim != 1 or p.size != cost.shape[k]:
                 raise ValueError(
                     f"marginal {k} has length {p.size}, expected {cost.shape[k]}"
                 )
-            if np.any(p <= 0.0):
+            # written so that NaN fails it too
+            if not np.all(p > 0.0):
                 raise ValueError(f"marginal {k} must be strictly positive")
             if abs(p.sum() - 1.0) > _MARGINAL_SUM_TOL:
                 raise ValueError(f"marginal {k} sums to {p.sum()!r}, expected 1")
@@ -107,7 +115,9 @@ def _u_rows(dims) -> np.ndarray:
     return np.array(rows)
 
 
-def _u_rhs(problem: MarginalProblem) -> np.ndarray:
+def marginal_rhs(problem: MarginalProblem) -> np.ndarray:
+    """Right-hand side b of the reduced "U" rows: p_k without its last entry
+    for every mode, then the total mass 1."""
     parts = [p[:-1] for p in problem.marginals]
     parts.append([1.0])
     return np.concatenate(parts)
@@ -146,7 +156,7 @@ class ConstraintSystem:
         self.dims = problem.dims
         if problem.variant == "U":
             self.matrix = _u_rows(problem.dims)
-            self.rhs = _u_rhs(problem)
+            self.rhs = marginal_rhs(problem)
             self.full_matrix = self.matrix
             self.full_rhs = self.rhs
         else:
@@ -210,18 +220,116 @@ def adjoint_marginals(dims, multipliers, total: float) -> np.ndarray:
     d = len(dims)
     if len(multipliers) != d:
         raise ValueError(f"expected {d} multiplier vectors, got {len(multipliers)}")
-    out = np.full(dims, float(total))
     for k, lam in enumerate(multipliers):
-        lam = np.asarray(lam, dtype=np.float64)
-        if lam.shape != (dims[k] - 1,):
+        if np.shape(lam) != (dims[k] - 1,):
             raise ValueError(
-                f"multiplier {k} has shape {lam.shape}, expected ({dims[k] - 1},)"
+                f"multiplier {k} has shape {np.shape(lam)}, expected ({dims[k] - 1},)"
             )
-        padded = np.concatenate([lam, [0.0]])
-        shape = [1] * d
-        shape[k] = dims[k]
-        out = out + padded.reshape(shape)
-    return out
+    y = np.concatenate([np.asarray(lam, dtype=np.float64) for lam in multipliers] + [[total]])
+    return MarginalOperator(dims).adjoint(y).reshape(dims)
+
+
+class MarginalOperator:
+    """The reduced "U" rows of ConstraintSystem, applied as tensor reductions.
+
+    ``apply`` takes mode marginals and ``adjoint`` broadcasts multipliers
+    back over the tensor, both on flat vectors with an optional leading
+    batch axis.  ``normal_matrix`` assembles A diag(w) A^T, of order
+    m = 1 + sum(n_k - 1), from the 1- and 2-mode marginals of w in O(d^2 N).
+    No dense m x N matrix is formed.
+    """
+
+    def __init__(self, dims):
+        dims = tuple(int(n) for n in dims)
+        d = len(dims)
+        self.dims = dims
+        self.size = int(np.prod(dims))
+        self.n_rows = 1 + sum(n - 1 for n in dims)
+        # a multiplier vector padded with the implicit zero of every mode's
+        # dropped last row: n_1 + .. + n_d slots, then the total
+        starts = np.cumsum([0] + list(dims))
+        self._padded_len = int(starts[-1]) + 1
+        self._keep = np.concatenate(
+            [np.arange(starts[k], starts[k + 1] - 1) for k in range(d)] + [[starts[-1]]]
+        ).astype(np.intp)
+        self._broadcast = [
+            (slice(starts[k], starts[k + 1]), (-1,) + (1,) * k + (n,) + (1,) * (d - k - 1))
+            for k, n in enumerate(dims)
+        ]
+        self._batched_dims = (-1,) + dims
+        self._marginal_axes = [tuple(1 + j for j in range(d) if j != k) for k in range(d)]
+        self._pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
+        self._pair_axes = [tuple(j for j in range(d) if j not in kl) for kl in self._pairs]
+        # normal_matrix gathers M from the concatenated marginals of w; where
+        # each entry comes from is found once, from the marginals' positions
+        parts = self._parts(np.zeros(dims))
+        offsets = np.cumsum([0] + [part.size for part in parts])
+        self._layout = self._layout_of(
+            [offsets[i] + np.arange(part.size).reshape(part.shape) for i, part in enumerate(parts)]
+        )
+
+    def apply(self, x) -> np.ndarray:
+        """A x for flat ``x`` of shape (N,) or (r, N)."""
+        t = x.reshape(self._batched_dims)
+        margs = [np.add.reduce(t, axis=axes) for axes in self._marginal_axes]
+        margs.append(np.add.reduce(margs[0], axis=1, keepdims=True))
+        out = np.concatenate(margs, axis=1)[:, self._keep]
+        return out if x.ndim == 2 else out[0]
+
+    def adjoint(self, y) -> np.ndarray:
+        """A^T y, flat, for ``y`` of shape (m,) or (r, m): entry (i_1..i_d)
+        is the total's multiplier plus sum_k y_k[i_k]."""
+        rows = y if y.ndim == 2 else y[None]
+        padded = np.zeros((rows.shape[0], self._padded_len))
+        padded[:, self._keep] = rows
+        (cut, shape), *rest = self._broadcast
+        out = (padded[:, cut] + padded[:, -1:]).reshape(shape)
+        for cut, shape in rest:
+            out = out + padded[:, cut].reshape(shape)
+        out = out.reshape(rows.shape[0], self.size)
+        return out if y.ndim == 2 else out[0]
+
+    def normal_matrix(self, w) -> np.ndarray:
+        """A diag(w) A^T for flat weights ``w`` of shape (N,)."""
+        # the appended 0 is entry -1, where _layout points for zero entries
+        values = np.concatenate(self._parts(w.reshape(self.dims)) + [np.zeros(1)], axis=None)
+        return values[self._layout]
+
+    def _parts(self, t) -> list:
+        """The 1-mode marginals of t, its total, then its 2-mode marginals."""
+        d = len(self.dims)
+        if d == 1:
+            return [t, np.add.reduce(t, keepdims=True)]
+        pairs = [np.add.reduce(t, axis=axes) for axes in self._pair_axes]
+        margs = [np.add.reduce(pairs[0], axis=1), np.add.reduce(pairs[0], axis=0)]
+        margs += [np.add.reduce(pairs[l - 1], axis=0) for l in range(2, d)]
+        return margs + [np.add.reduce(margs[0], keepdims=True)] + pairs
+
+    def _layout_of(self, parts) -> np.ndarray:
+        """M with each entry replaced by the index it is copied from in
+        ``parts`` (ordered as _parts returns them), -1 where M is 0.
+
+        Block (k, l) is the 2-mode marginal on modes k and l without their
+        dropped last rows, block (k, k) is diagonal with the mode-k
+        marginal, and the total-mass row and column hold the marginals and
+        the total.
+        """
+        dims = self.dims
+        d = len(dims)
+        margs, total, pairs = parts[:d], parts[d], parts[d + 1 :]
+        starts = np.cumsum([0] + [n - 1 for n in dims])
+        out = np.full((self.n_rows, self.n_rows), -1, dtype=np.intp)
+        for k, n in enumerate(dims):
+            rows = np.arange(starts[k], starts[k + 1])
+            out[rows, rows] = margs[k][: n - 1]
+            out[rows, -1] = margs[k][: n - 1]
+            out[-1, rows] = margs[k][: n - 1]
+        for (k, l), pair in zip(self._pairs, pairs):
+            block = pair[: dims[k] - 1, : dims[l] - 1]
+            out[starts[k] : starts[k + 1], starts[l] : starts[l + 1]] = block
+            out[starts[l] : starts[l + 1], starts[k] : starts[k + 1]] = block.T
+        out[-1, -1] = total[0]
+        return out
 
 
 def _difference_vectors(n: int) -> list:

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import criterion_lines
+from conftest import criterion_01_problems, criterion_lines
 
 import totipm.cli as cli
 from totipm.barrier import (
@@ -71,16 +71,8 @@ def _solve_with_audit(problem, epsilon=1e-6):
 
 @pytest.fixture(scope="module")
 def u_batch():
-    rng = SplitMix64(SEED)
-    records = []
     start = time.perf_counter()
-    for trial in range(50):
-        if trial < 30:
-            dims = (2 + rng.next_int(5), 2 + rng.next_int(5))
-        else:
-            dims = tuple(2 + rng.next_int(3) for _ in range(3))
-        kind = "uniform" if trial % 2 == 0 else "random"
-        records.append(_solve_with_audit(random_instance(dims, "U", rng, kind)))
+    records = [_solve_with_audit(problem) for problem in criterion_01_problems(SEED)]
     return records, time.perf_counter() - start
 
 

@@ -118,15 +118,6 @@ class TestBenchmarkCommand:
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        args = ["benchmark", "--sizes", "3", "--trials", "3", "--epsilon", "1e-3"]
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        assert cli.main(args + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("TOT_IPM_THREADS", "3")
-        assert cli.main(args + ["--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_timing_column_filled(self, capsys):
         rc = cli.main(
             ["benchmark", "--sizes", "3", "--trials", "1", "--epsilon", "1e-2",

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conftest import criterion_01_problems
+
+import totipm.ipm as ipm
 from totipm.ipm import (
     DEFAULT_C0,
     NonConvergenceError,
@@ -16,6 +19,7 @@ from totipm.ipm import (
 from totipm.oracle import solve_lp
 from totipm.polytope import (
     ConstraintSystem,
+    MarginalOperator,
     MarginalProblem,
     null_basis_matrix,
     random_interior_point,
@@ -121,6 +125,109 @@ class TestNewtonDirection:
         problem = uniform_problem((2, 2))
         with pytest.raises(ValueError):
             newton_direction(problem, start_point(problem), eta=-1.0)
+
+
+# criterion-1 trials whose eps 1e-8 paths end at a degenerate vertex, where
+# the normal matrix loses rank: without the QR tail they fail
+TAIL_TRIALS = (0, 4, 6, 16, 18)
+# further trials to sample, with random marginals and d = 3
+# (44 is one where the condition estimate misses the rank loss)
+SAMPLE_TRIALS = TAIL_TRIALS + (5, 27, 33, 44)
+
+
+def qr_decrement(problem, u, eta):
+    """Decrement from Householder QR of diag(u) A^T, the pre-Cholesky route."""
+    workspace = ipm._MarginalWorkspace(problem)
+    workspace.start_tail()
+    return workspace.prepare(u.ravel()).direction(eta)[1]
+
+
+@pytest.fixture(scope="module")
+def eps8_paths():
+    """Per sampled trial: problem, report, trace states and the number of
+    dense constraint-row builds, from eps 1e-8 solves."""
+    problems = criterion_01_problems()
+    builds = []
+    dense = ipm.ConstraintSystem
+
+    def counted(problem):
+        builds.append(problem)
+        return dense(problem)
+
+    paths = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ipm, "ConstraintSystem", counted)
+        for trial in SAMPLE_TRIALS:
+            states = []
+            report = short_step_solve(
+                problems[trial], SolverConfig(epsilon=1e-8), observer=states.append
+            )
+            paths[trial] = (problems[trial], report, states, len(builds))
+            builds.clear()
+    return paths
+
+
+class TestStructuredNewton:
+    def test_decrement_pinned_to_qr(self, eps8_paths):
+        worst_warm = worst_fresh = 0.0
+        count = 0
+        for problem, _, states, _ in eps8_paths.values():
+            for state in states[:: max(1, len(states) // 25)]:
+                ref = qr_decrement(problem, state.point, state.eta)
+                _, fresh = newton_direction(problem, state.point, state.eta)
+                worst_warm = max(worst_warm, abs(state.decrement - ref))
+                worst_fresh = max(worst_fresh, abs(fresh - ref))
+                count += 1
+        assert count >= 200
+        assert worst_warm <= 1e-6
+        assert worst_fresh <= 1e-6
+
+    def test_degenerate_paths_certify_through_qr_tail(self, eps8_paths):
+        entered = 0
+        for trial in TAIL_TRIALS:
+            problem, report, states, builds = eps8_paths[trial]
+            assert report.gap_bound <= 1e-8
+            assert len(states) == len(report.trace)
+            for state in states:
+                assert state.decrement <= 0.25
+                assert residual_norm(problem, state.point) <= 1e-8
+                assert state.point.min() > 0.0
+            entered += builds > 0
+        assert entered >= 1
+
+    def test_condition_floor_starts_qr_tail(self):
+        # near the vertex of a 2x2 the normal matrix stays positive definite
+        # while its reciprocal condition number falls past 1e-12
+        problem = uniform_problem((2, 2))
+        for tiny, tail in ((1e-5, False), (1e-7, True)):
+            u = np.array([0.5, tiny, tiny, 0.5])
+            np.linalg.cholesky(MarginalOperator((2, 2)).normal_matrix(u * u))
+            workspace = ipm._MarginalWorkspace(problem)
+            workspace.prepare(u)
+            assert (workspace.rows is not None) == tail
+
+    def test_warm_start_is_exact_at_a_fixed_iterate(self):
+        # the multipliers are affine in eta, so two solved columns give the
+        # multipliers at any other eta
+        rng = np.random.default_rng(70)
+        problem = random_problem((3, 4), rng)
+        u = random_interior_point(problem, rng).ravel()
+        workspace = ipm._MarginalWorkspace(problem)
+        workspace.prepare(u).directions((2.0, 3.0))
+        guess = workspace.warm_start((5.0,))
+        cold = ipm._MarginalWorkspace(problem)
+        cold.prepare(u).direction(5.0)
+        assert np.allclose(guess, cold.last[1], rtol=1e-9, atol=1e-12)
+
+    def test_no_dense_rows_without_tail(self, monkeypatch):
+        def refuse(problem):
+            raise AssertionError("dense constraint rows built")
+
+        monkeypatch.setattr(ipm, "ConstraintSystem", refuse)
+        rng = np.random.default_rng(69)
+        problem = random_problem((4, 5), rng)
+        report = short_step_solve(problem, SolverConfig(epsilon=1e-4))
+        assert report.gap_bound <= 1e-4
 
 
 class TestCenter:

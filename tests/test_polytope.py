@@ -4,7 +4,9 @@ import pytest
 from totipm.oracle import solve_lp
 from totipm.polytope import (
     ConstraintSystem,
+    MarginalOperator,
     MarginalProblem,
+    marginal_rhs,
     adjoint_marginals,
     centering_project,
     feasible,
@@ -51,6 +53,20 @@ class TestMarginalProblem:
     def test_rejects_bad_variant(self):
         with pytest.raises(ValueError):
             uniform_problem((2, 2), variant="W")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_cost(self, bad):
+        cost = np.zeros((3, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match=r"cost entry \(1, 2\)"):
+            uniform_problem((3, 3), cost=cost)
+
+    def test_rejects_nan_marginal(self):
+        with pytest.raises(ValueError, match="marginal 1"):
+            MarginalProblem(
+                cost=np.zeros((2, 2)),
+                marginals=(np.array([0.5, 0.5]), np.array([np.nan, 1.0])),
+            )
 
     def test_arrays_read_only(self):
         problem = uniform_problem((2, 2))
@@ -128,6 +144,27 @@ class TestAdjoint:
         with pytest.raises(ValueError):
             adjoint_marginals((2, 2), [np.zeros(2), np.zeros(1)], 0.0)
 
+
+class TestMarginalOperator:
+    SHAPES = [(1,), (3,), (1, 4), (2, 1, 3), (2, 3, 2, 3)]
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_matches_dense_rows(self, dims):
+        rng = np.random.default_rng(23)
+        problem = uniform_problem(dims)
+        system = ConstraintSystem(problem)
+        a = system.matrix
+        op = MarginalOperator(dims)
+        assert op.n_rows == a.shape[0]
+        assert np.array_equal(marginal_rhs(problem), system.rhs)
+        x = rng.normal(size=(2, a.shape[1]))
+        y = rng.normal(size=(2, a.shape[0]))
+        w = rng.uniform(0.1, 1.0, size=a.shape[1])
+        assert np.abs(op.apply(x) - x @ a.T).max() <= 1e-14
+        assert np.abs(op.apply(x[0]) - a @ x[0]).max() <= 1e-14
+        assert np.abs(op.adjoint(y) - y @ a).max() <= 1e-14
+        assert np.abs(op.adjoint(y[0]) - a.T @ y[0]).max() <= 1e-14
+        assert np.abs(op.normal_matrix(w) - (a * w) @ a.T).max() <= 1e-14
 
 class TestNullBasis:
     def test_2x2_difference(self):
