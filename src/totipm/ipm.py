@@ -12,10 +12,13 @@ step w = delta / u, the step is w = diag(u) A^T y - dg with dg = eta*u*c - 1,
 the multipliers y solving A diag(u^2) A^T y = A diag(u) dg + (b - A u), and
 the decrement is |w|.
 
-The marginal variant ("U") solves that normal system directly.  A is never
-formed: MarginalOperator applies it as mode marginals and A^T as broadcast
-sums, and assembles M = A diag(u^2) A^T, of order 1 + sum(n_k - 1), from the
-1- and 2-mode marginals of u^2 in O(d^2 N).  LAPACK potrf factors M once per
+Both variants solve that normal system directly, in one workspace; only
+the operator differs.  For the marginal variant ("U") A is never formed:
+MarginalOperator applies it as mode marginals and A^T as broadcast sums,
+and assembles M = A diag(u^2) A^T, of order 1 + sum(n_k - 1), from the 1-
+and 2-mode marginals of u^2 in O(d^2 N).  For the mode-sum variant ("V")
+ConstraintSystem keeps the prod(n_k) - prod(n_k - 1) independent 0/1 mode-sum
+rows and multiplies by them densely.  LAPACK potrf factors M once per
 iterate, and both Phase II solves (the trace decrement at eta and the next
 direction at eta * growth) share that factor as two right-hand sides.
 Squaring the condition number this way is made safe by two measures:
@@ -36,17 +39,17 @@ good to Householder QR of diag(u) A^T, reading the step off an orthogonal
 projection of dg, once potrf breaks down, once the LAPACK estimate (pocon)
 of the reciprocal condition number of M drops below 1e-12, or once CSNE has
 not settled after six steps: pocon can miss the rank loss by many orders (2e2 estimated against
-7e14 measured at one d = 3 point).  Only then are the dense rows of A built.
+7e14 measured at one d = 3 point).  Only then, for variant U, are the dense
+rows of A built.
 The switch is one-way: toward the vertex M only gets worse, and retrying
 Cholesky at every later step found it usable for 104 of the 8 828 QR steps
 below.  Measured on the 50 criterion-1 instances at epsilon 1e-8: without
 the tail 16 fail, each on a potrf breakdown; with it all certify, QR takes
 8 828 of 76 748 steps, and the decrement agrees with the QR one to 4e-7 at
-644 sampled path points, warm or from a fresh workspace.
-
-The mode-sum variant ("V") factors diag(1/u) B by QR once per iterate, B the
-explicit Kronecker difference basis of the null space, and reads the step
-off the projection of dg onto its range.
+644 sampled path points, warm or from a fresh workspace.  On the 20
+criterion-2 (variant V) instances at epsilon 1e-8 all certify, 6 enter the
+tail, QR takes 2 345 of 23 073 factorizations, and the decrement agrees
+with the QR one to 1.9e-7 at 520 sampled path points, warm or fresh.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .polytope import (
     MarginalOperator,
     MarginalProblem,
     marginal_rhs,
-    null_basis_matrix,
     start_point,
 )
 
@@ -98,10 +100,13 @@ _FLOOR = 1e-300
 # the theory keeps it below 0.24, so reaching 1/2 means broken constants
 _SAFETY_DECREMENT = 0.5
 
-# a marginal-variant solve leaves Cholesky for QR, for good, once potrf
-# breaks down, the normal matrix's reciprocal condition estimate drops below
-# _RCOND_FLOOR, or CSNE refinement has not settled after _MAX_CSNE_STEPS
-# steps (see the module docstring)
+# centering runs full Newton steps until the decrement is this small
+_CENTER_TOL = 1e-10
+
+# a solve leaves Cholesky for QR, for good, once potrf breaks down, the
+# normal matrix's reciprocal condition estimate drops below _RCOND_FLOOR, or
+# CSNE refinement has not settled after _MAX_CSNE_STEPS steps (see the
+# module docstring)
 _RCOND_FLOOR = 1e-12
 _MAX_CSNE_STEPS = 6
 
@@ -132,9 +137,7 @@ class SolverConfig:
     epsilon: float = 1e-6
     step_gamma: float = 1.0 / 16.0
     decrement_beta: float = 0.25
-    center_tol: float = 1e-10
     max_iterations: int = 200_000
-    theta: float | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -145,12 +148,8 @@ class SolverConfig:
             raise ValueError("step_gamma must lie in (0, 1/8]")
         if not 0.0 < self.decrement_beta <= 0.25:
             raise ValueError("decrement_beta must lie in (0, 1/4]")
-        if self.center_tol <= 0.0:
-            raise ValueError("center_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.theta is not None and self.theta <= 0.0:
-            raise ValueError("theta must be positive")
 
 
 @dataclass(frozen=True)
@@ -176,28 +175,25 @@ class SolveReport:
     theta: float
 
 
-class _Factor:
-    """Newton solves at one iterate; ``directions`` answers several eta
-    values from the same factorization."""
-
-    def directions(self, etas):
-        return [self.direction(eta) for eta in etas]
-
-
-class _MarginalWorkspace:
-    """Marginal-variant Newton solves: Cholesky of the normal matrix
-    A diag(u^2) A^T, warm-started from the last multipliers, with a one-way
-    switch to QR of diag(u) A^T once that matrix turns ill-conditioned."""
+class _NewtonWorkspace:
+    """Newton solves at the iterates of one solve: Cholesky of the normal
+    matrix A diag(u^2) A^T, warm-started from the last multipliers, with a
+    one-way switch to QR of diag(u) A^T once that matrix turns
+    ill-conditioned."""
 
     def __init__(self, problem: MarginalProblem):
         self.problem = problem
         self.cost = problem.cost.ravel()
-        self.op = MarginalOperator(problem.dims)
-        self.rhs = marginal_rhs(problem)
+        if problem.variant == "U":
+            self.op = MarginalOperator(problem.dims)
+            self.rhs = marginal_rhs(problem)
+        else:
+            self.op = ConstraintSystem(problem)
+            self.rhs = self.op.rhs
         # (etas, multipliers) of the last Cholesky solve; multipliers are
         # affine in eta at a fixed iterate, so two columns extrapolate
         self.last = None
-        # dense constraint rows, built when the QR tail starts
+        # dense constraint rows, set when the QR tail starts
         self.rows = None
 
     def prepare(self, u):
@@ -214,7 +210,8 @@ class _MarginalWorkspace:
         return _ProjectionFactor(self, u, q, r)
 
     def start_tail(self):
-        self.rows = ConstraintSystem(self.problem).matrix
+        system = self.op if self.problem.variant == "V" else ConstraintSystem(self.problem)
+        self.rows = system.matrix
 
     def warm_start(self, etas):
         if self.last is None:
@@ -227,7 +224,7 @@ class _MarginalWorkspace:
         return y[0] + t[:, None] * (y[-1] - y[0])
 
 
-class _CholeskyFactor(_Factor):
+class _CholeskyFactor:
     def __init__(self, ws, u, chol):
         self.ws = ws
         self.u = u
@@ -237,6 +234,7 @@ class _CholeskyFactor(_Factor):
         return self.directions((eta,))[0]
 
     def directions(self, etas):
+        """(delta, decrement) at each eta, from this one factorization."""
         ws, u, op = self.ws, self.u, self.ws.op
         dg = np.multiply.outer(etas, u * ws.cost) - 1.0
         # w = diag(u) A^T y - dg with A (u + u w) = b: the step lands on the
@@ -266,7 +264,7 @@ class _CholeskyFactor(_Factor):
         return [(u * row, math.sqrt(row @ row)) for row in w]
 
 
-class _ProjectionFactor(_Factor):
+class _ProjectionFactor:
     """QR tail: the step read off an orthogonal projection of the scaled
     gradient."""
 
@@ -291,56 +289,8 @@ class _ProjectionFactor(_Factor):
             raise SolverError("constraint rows lost rank at the current iterate")
         return self.u * w, dec
 
-
-class _NullBasisWorkspace:
-    """Mode-sum-variant Newton solves in the explicit Kronecker difference
-    basis of the constraint null space, factored as QR of diag(1/u) B."""
-
-    def __init__(self, problem: MarginalProblem):
-        self.cost = problem.cost.ravel()
-        self.basis = null_basis_matrix(problem)
-
-    def prepare(self, u):
-        if self.basis.shape[1] == 0:
-            return _FixedPoint(u)
-        q, r = scipy.linalg.qr(self.basis / u[:, None], mode="economic")
-        return _NullBasisFactor(self, u, q, r)
-
-
-class _NullBasisFactor(_Factor):
-    def __init__(self, ws, u, q, r):
-        self.ws = ws
-        self.u = u
-        self.q = q
-        self.r = r
-
-    def direction(self, eta):
-        dg = eta * (self.u * self.ws.cost) - 1.0
-        z = self.q.T @ dg
-        dec = float(np.linalg.norm(z))
-        if not math.isfinite(dec):
-            raise SolverError("null basis lost rank at the current iterate")
-        coeffs = scipy.linalg.solve_triangular(self.r, -z)
-        # stepping through the integer basis keeps the iterate on the slice
-        # to rounding of a single matvec
-        delta = self.ws.basis @ coeffs
-        return delta, dec
-
-
-class _FixedPoint(_Factor):
-    """Degenerate slice with a trivial null space: the point cannot move."""
-
-    def __init__(self, u):
-        self.zero = np.zeros_like(u)
-
-    def direction(self, eta):
-        return self.zero, 0.0
-
-
-def _make_workspace(problem: MarginalProblem):
-    if problem.variant == "U":
-        return _MarginalWorkspace(problem)
-    return _NullBasisWorkspace(problem)
+    def directions(self, etas):
+        return [self.direction(eta) for eta in etas]
 
 
 def _check_domain(u):
@@ -366,30 +316,22 @@ def newton_direction(problem: MarginalProblem, u, eta: float):
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
     flat = _as_interior_flat(problem, u)
-    delta, dec = _make_workspace(problem).prepare(flat).direction(float(eta))
+    delta, dec = _NewtonWorkspace(problem).prepare(flat).direction(float(eta))
     return delta.reshape(problem.dims), dec
 
 
-def center(problem: MarginalProblem, u0, eta: float, config: SolverConfig | None = None) -> PathState:
-    """Damped Newton to the minimizer of eta <c, x> + sigma(x) on the slice.
-
-    Damped steps delta / (1 + delta_norm) while the decrement exceeds
-    decrement_beta (these stay strictly feasible by self-concordance), then
-    full steps down to center_tol.
-    """
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
-    config = config or SolverConfig()
-    workspace = _make_workspace(problem)
-    u = _as_interior_flat(problem, u0)
+def _damped_newton(workspace, u, eta, config):
+    """The damped-Newton loop of center and of Phase I.  Returns the point,
+    its decrement, the step count and the factor at the point."""
     steps = 0
     while True:
-        delta, dec = workspace.prepare(u).direction(float(eta))
-        if dec <= config.center_tol:
-            break
+        factor = workspace.prepare(u)
+        delta, dec = factor.direction(eta)
+        if dec <= _CENTER_TOL:
+            return u, dec, steps, factor
         if steps >= config.max_iterations:
             raise NonConvergenceError(
-                f"centering still at decrement {dec!r} after {steps} steps"
+                f"centering at eta {eta!r} still at decrement {dec!r} after {steps} steps"
             )
         if dec > config.decrement_beta:
             u = u + delta / (1.0 + dec)
@@ -397,6 +339,20 @@ def center(problem: MarginalProblem, u0, eta: float, config: SolverConfig | None
             u = u + delta
         _check_domain(u)
         steps += 1
+
+
+def center(problem: MarginalProblem, u0, eta: float, config: SolverConfig | None = None) -> PathState:
+    """Damped Newton to the minimizer of eta <c, x> + sigma(x) on the slice.
+
+    Damped steps delta / (1 + delta_norm) while the decrement exceeds
+    decrement_beta (these stay strictly feasible by self-concordance), then
+    full steps down to a decrement of 1e-10.
+    """
+    if eta < 0.0:
+        raise ValueError("eta must be nonnegative")
+    u, dec, steps, _ = _damped_newton(
+        _NewtonWorkspace(problem), _as_interior_flat(problem, u0), float(eta), config or SolverConfig()
+    )
     return PathState(eta=float(eta), point=u.reshape(problem.dims), decrement=dec, iteration=steps)
 
 
@@ -411,30 +367,15 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
     NonConvergenceError if max_iterations runs out.
     """
     config = config or SolverConfig()
-    theta = float(config.theta) if config.theta is not None else float(problem.size)
-    workspace = _make_workspace(problem)
+    # the barrier's complexity value; the gap bound theta / eta certifies
+    # the objective only with theta >= problem.size
+    theta = float(problem.size)
+    workspace = _NewtonWorkspace(problem)
     cost = problem.cost.ravel()
 
-    u = start_point(problem).ravel()
-    eta = 1.0
-    steps = 0
-
     # Phase I: damped Newton at eta = 1 from the product tensor
-    while True:
-        factor = workspace.prepare(u)
-        delta, dec = factor.direction(eta)
-        if dec <= config.center_tol:
-            break
-        if steps >= config.max_iterations:
-            raise NonConvergenceError(
-                f"Phase I centering still at decrement {dec!r} after {steps} steps"
-            )
-        if dec > config.decrement_beta:
-            u = u + delta / (1.0 + dec)
-        else:
-            u = u + delta
-        _check_domain(u)
-        steps += 1
+    eta = 1.0
+    u, dec, steps, factor = _damped_newton(workspace, start_point(problem).ravel(), eta, config)
 
     trace = [TraceRow(eta, dec, float(cost @ u), theta / eta)]
     if observer is not None:

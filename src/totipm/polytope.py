@@ -28,7 +28,6 @@ __all__ = [
     "start_point",
     "residual",
     "residual_norm",
-    "adjoint_marginals",
     "MarginalOperator",
     "marginal_rhs",
     "null_basis",
@@ -123,16 +122,24 @@ def marginal_rhs(problem: MarginalProblem) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _v_full_rows(problem: MarginalProblem):
-    """One row per (mode, multi-index of the other modes), in row-major order."""
+def _v_rows(problem: MarginalProblem):
+    """Mode-sum rows, one per (mode k, multi-index of the other modes) in
+    row-major order, keeping only the multi-indices whose entry on every
+    mode before k avoids that mode's last value.
+
+    The count, sum_k prod_{j<k}(n_j - 1) prod_{j>k} n_j, telescopes to
+    prod(n_k) - prod(n_k - 1), the rank of all mode sums together, and the
+    kept rows reach that rank (the tests check shapes up to four modes).
+    """
     dims = problem.dims
-    d = len(dims)
     rows = []
     rhs = []
-    for k in range(d):
+    for k in range(len(dims)):
         other = [p for j, p in enumerate(problem.marginals) if j != k]
         target = outer(other) if other else np.array(1.0)
         for j_idx in np.ndindex(*target.shape):
+            if any(j_idx[j] == dims[j] - 1 for j in range(k)):
+                continue
             t = np.zeros(dims)
             idx = list(j_idx[:k]) + [slice(None)] + list(j_idx[k:])
             t[tuple(idx)] = 1.0
@@ -146,9 +153,11 @@ class ConstraintSystem:
 
     Variant "U" drops the last marginal row of every mode and appends a single
     total-mass row; the result has 1 + sum(n_k - 1) rows and full row rank for
-    every d.  Variant "V" starts from the explicit per-mode rows (one per
-    multi-index of the other modes) and removes redundant rows numerically via
-    rank-revealing QR; the surviving system has prod(n_k) - prod(n_k - 1) rows.
+    every d.  Variant "V" keeps the mode-sum rows chosen by an index rule (see
+    _v_rows): prod(n_k) - prod(n_k - 1) rows, again of full row rank.
+
+    ``apply``, ``adjoint`` and ``normal_matrix`` multiply by the dense rows,
+    with the signatures of MarginalOperator's.
     """
 
     def __init__(self, problem: MarginalProblem):
@@ -157,24 +166,24 @@ class ConstraintSystem:
         if problem.variant == "U":
             self.matrix = _u_rows(problem.dims)
             self.rhs = marginal_rhs(problem)
-            self.full_matrix = self.matrix
-            self.full_rhs = self.rhs
         else:
-            full, full_rhs = _v_full_rows(problem)
-            self.full_matrix = full
-            self.full_rhs = full_rhs
-            # rank-revealing QR on A^T; keeping pivot rows in original order
-            # makes the reduction deterministic
-            _, r, piv = scipy.linalg.qr(full.T, mode="economic", pivoting=True)
-            diag = np.abs(np.diag(r))
-            rank = int(np.sum(diag > 1e-10 * diag[0]))
-            keep = np.sort(piv[:rank])
-            self.matrix = full[keep]
-            self.rhs = full_rhs[keep]
+            self.matrix, self.rhs = _v_rows(problem)
 
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
+
+    def apply(self, x) -> np.ndarray:
+        """A x for flat ``x`` of shape (N,) or (r, N)."""
+        return x @ self.matrix.T
+
+    def adjoint(self, y) -> np.ndarray:
+        """A^T y, flat, for ``y`` of shape (m,) or (r, m)."""
+        return y @ self.matrix
+
+    def normal_matrix(self, w) -> np.ndarray:
+        """A diag(w) A^T for flat weights ``w`` of shape (N,)."""
+        return (self.matrix * w) @ self.matrix.T
 
 
 def start_point(problem: MarginalProblem) -> np.ndarray:
@@ -206,27 +215,6 @@ def residual(problem: MarginalProblem, u) -> list:
 def residual_norm(problem: MarginalProblem, u) -> float:
     """Largest Frobenius norm among the per-mode residuals."""
     return max(frobenius_norm(r) for r in residual(problem, u))
-
-
-def adjoint_marginals(dims, multipliers, total: float) -> np.ndarray:
-    """Adjoint of the reduced "U" constraint operator.
-
-    ``multipliers`` holds one vector of length n_k - 1 per mode (the dropped
-    last row of each mode has an implicit zero multiplier); ``total`` is the
-    multiplier of the total-mass row.  Entry (i_1..i_d) of the result is
-    sum_k lam_k[i_k] + total.
-    """
-    dims = tuple(int(n) for n in dims)
-    d = len(dims)
-    if len(multipliers) != d:
-        raise ValueError(f"expected {d} multiplier vectors, got {len(multipliers)}")
-    for k, lam in enumerate(multipliers):
-        if np.shape(lam) != (dims[k] - 1,):
-            raise ValueError(
-                f"multiplier {k} has shape {np.shape(lam)}, expected ({dims[k] - 1},)"
-            )
-    y = np.concatenate([np.asarray(lam, dtype=np.float64) for lam in multipliers] + [[total]])
-    return MarginalOperator(dims).adjoint(y).reshape(dims)
 
 
 class MarginalOperator:

@@ -16,41 +16,13 @@ from functools import reduce
 import numpy as np
 
 __all__ = [
-    "as_tensor",
-    "all_ones",
     "outer",
     "inner",
     "contract_all_but",
     "mode_contract",
     "marginal",
     "frobenius_norm",
-    "multi_to_flat",
-    "flat_to_multi",
 ]
-
-
-def as_tensor(values, shape=None) -> np.ndarray:
-    """Return ``values`` as a C-contiguous float64 array, reshaped to ``shape``.
-
-    Raises ValueError if the value count does not match ``prod(shape)`` or if
-    any dimension is < 1.
-    """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if shape is not None:
-        shape = tuple(int(n) for n in shape)
-        if any(n < 1 for n in shape):
-            raise ValueError(f"dimensions must be positive, got {shape}")
-        if arr.size != int(np.prod(shape)):
-            raise ValueError(
-                f"expected {int(np.prod(shape))} values for shape {shape}, got {arr.size}"
-            )
-        arr = arr.reshape(shape)
-    return arr
-
-
-def all_ones(shape) -> np.ndarray:
-    """All-ones tensor of the given shape."""
-    return np.ones(tuple(int(n) for n in shape), dtype=np.float64)
 
 
 def outer(vectors) -> np.ndarray:
@@ -123,31 +95,3 @@ def marginal(u, mode: int) -> np.ndarray:
 def frobenius_norm(u) -> float:
     """Euclidean norm of the flattened entries."""
     return float(np.linalg.norm(np.asarray(u, dtype=np.float64).ravel()))
-
-
-def multi_to_flat(index, dims) -> int:
-    """Row-major flat index of a multi-index."""
-    dims = tuple(int(n) for n in dims)
-    index = tuple(int(i) for i in index)
-    if len(index) != len(dims):
-        raise ValueError(f"index rank {len(index)} does not match shape rank {len(dims)}")
-    flat = 0
-    for i, n in zip(index, dims):
-        if not 0 <= i < n:
-            raise ValueError(f"index {index} out of bounds for shape {dims}")
-        flat = flat * n + i
-    return flat
-
-
-def flat_to_multi(flat: int, dims) -> tuple:
-    """Multi-index of a row-major flat index."""
-    dims = tuple(int(n) for n in dims)
-    size = int(np.prod(dims))
-    flat = int(flat)
-    if not 0 <= flat < size:
-        raise ValueError(f"flat index {flat} out of bounds for shape {dims}")
-    out = []
-    for n in reversed(dims):
-        out.append(flat % n)
-        flat //= n
-    return tuple(reversed(out))

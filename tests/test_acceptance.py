@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import criterion_01_problems, criterion_lines
+from conftest import criterion_01_problems, criterion_02_problems, criterion_lines
 
 import totipm.cli as cli
 from totipm.barrier import (
@@ -78,14 +78,8 @@ def u_batch():
 
 @pytest.fixture(scope="module")
 def v_batch():
-    rng = SplitMix64(SEED + 1)
-    records = []
     start = time.perf_counter()
-    for trial in range(20):
-        d = 2 if trial % 2 == 0 else 3
-        dims = tuple(2 + rng.next_int(2) for _ in range(d))
-        kind = "uniform" if trial % 4 < 2 else "random"
-        records.append(_solve_with_audit(random_instance(dims, "V", rng, kind)))
+    records = [_solve_with_audit(problem) for problem in criterion_02_problems(SEED + 1)]
     return records, time.perf_counter() - start
 
 

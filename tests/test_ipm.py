@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import criterion_01_problems
+from conftest import criterion_01_problems, criterion_02_problems
 
 import totipm.ipm as ipm
 from totipm.ipm import (
@@ -16,6 +16,7 @@ from totipm.ipm import (
     predicted_iterations,
     short_step_solve,
 )
+from totipm.instances import SplitMix64, random_instance
 from totipm.oracle import solve_lp
 from totipm.polytope import (
     ConstraintSystem,
@@ -61,9 +62,7 @@ class TestSolverConfig:
             {"step_gamma": 0.2},
             {"decrement_beta": 0.0},
             {"decrement_beta": 0.3},
-            {"center_tol": 0.0},
             {"max_iterations": 0},
-            {"theta": -4.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -88,38 +87,41 @@ class TestNewtonDirection:
             assert abs(residual_norm(problem, u + t * delta) - base) <= 1e-10
 
     def test_decrement_matches_null_basis_route(self):
+        # reference: the reduced Hessian in the explicit null basis
         rng = np.random.default_rng(62)
-        problem = random_problem((2, 2), rng)
-        basis = null_basis_matrix(problem)
-        for _ in range(5):
-            u = random_interior_point(problem, rng)
-            eta = float(rng.uniform(0.5, 3.0))
-            _, dec = newton_direction(problem, u, eta)
-            flat = u.ravel()
-            g = eta * problem.cost.ravel() - 1.0 / flat
-            h_t = (basis * (1.0 / flat**2)[:, None]).T @ basis
-            g_t = basis.T @ g
-            dec_ref = float(np.sqrt(g_t @ np.linalg.solve(h_t, g_t)))
-            assert dec == pytest.approx(dec_ref, abs=1e-10)
+        for dims, variant in (((2, 2), "U"), ((3, 3), "V"), ((2, 3, 2), "V")):
+            problem = random_problem(dims, rng, variant)
+            basis = null_basis_matrix(problem)
+            for _ in range(5):
+                u = random_interior_point(problem, rng)
+                eta = float(rng.uniform(0.5, 3.0))
+                _, dec = newton_direction(problem, u, eta)
+                flat = u.ravel()
+                g = eta * problem.cost.ravel() - 1.0 / flat
+                h_t = (basis * (1.0 / flat**2)[:, None]).T @ basis
+                g_t = basis.T @ g
+                dec_ref = float(np.sqrt(g_t @ np.linalg.solve(h_t, g_t)))
+                assert dec == pytest.approx(dec_ref, abs=1e-10)
 
     def test_matches_dense_kkt_oracle(self):
         rng = np.random.default_rng(63)
-        problem = random_problem((3, 3), rng)
-        a = ConstraintSystem(problem).matrix
-        m, size = a.shape
-        for _ in range(3):
-            u = random_interior_point(problem, rng)
-            eta = float(rng.uniform(0.5, 2.0))
-            delta, _ = newton_direction(problem, u, eta)
-            flat = u.ravel()
-            g = eta * problem.cost.ravel() - 1.0 / flat
-            kkt = np.zeros((size + m, size + m))
-            kkt[:size, :size] = np.diag(1.0 / flat**2)
-            kkt[:size, size:] = a.T
-            kkt[size:, :size] = a
-            rhs = np.concatenate([-g, np.zeros(m)])
-            ref = np.linalg.solve(kkt, rhs)[:size]
-            assert np.abs(delta.ravel() - ref).max() <= 1e-8
+        for dims, variant in (((3, 3), "U"), ((3, 3), "V"), ((2, 3, 2), "V")):
+            problem = random_problem(dims, rng, variant)
+            a = ConstraintSystem(problem).matrix
+            m, size = a.shape
+            for _ in range(3):
+                u = random_interior_point(problem, rng)
+                eta = float(rng.uniform(0.5, 2.0))
+                delta, _ = newton_direction(problem, u, eta)
+                flat = u.ravel()
+                g = eta * problem.cost.ravel() - 1.0 / flat
+                kkt = np.zeros((size + m, size + m))
+                kkt[:size, :size] = np.diag(1.0 / flat**2)
+                kkt[:size, size:] = a.T
+                kkt[size:, :size] = a
+                rhs = np.concatenate([-g, np.zeros(m)])
+                ref = np.linalg.solve(kkt, rhs)[:size]
+                assert np.abs(delta.ravel() - ref).max() <= 1e-8
 
     def test_rejects_negative_eta(self):
         problem = uniform_problem((2, 2))
@@ -136,64 +138,91 @@ SAMPLE_TRIALS = TAIL_TRIALS + (5, 27, 33, 44)
 
 
 def qr_decrement(problem, u, eta):
-    """Decrement from Householder QR of diag(u) A^T, the pre-Cholesky route."""
-    workspace = ipm._MarginalWorkspace(problem)
+    """Decrement from Householder QR of diag(u) A^T, the route of the QR tail."""
+    workspace = ipm._NewtonWorkspace(problem)
     workspace.start_tail()
     return workspace.prepare(u.ravel()).direction(eta)[1]
 
 
-@pytest.fixture(scope="module")
-def eps8_paths():
-    """Per sampled trial: problem, report, trace states and the number of
-    dense constraint-row builds, from eps 1e-8 solves."""
-    problems = criterion_01_problems()
-    builds = []
-    dense = ipm.ConstraintSystem
+def eps8_solves(problems, trials):
+    """Per trial: problem, report, trace states and the number of times the
+    solve entered the QR tail, from eps 1e-8 solves."""
+    entries = []
+    start_tail = ipm._NewtonWorkspace.start_tail
 
-    def counted(problem):
-        builds.append(problem)
-        return dense(problem)
+    def counted(workspace):
+        entries.append(workspace)
+        start_tail(workspace)
 
     paths = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ipm, "ConstraintSystem", counted)
-        for trial in SAMPLE_TRIALS:
+        patch.setattr(ipm._NewtonWorkspace, "start_tail", counted)
+        for trial in trials:
             states = []
             report = short_step_solve(
                 problems[trial], SolverConfig(epsilon=1e-8), observer=states.append
             )
-            paths[trial] = (problems[trial], report, states, len(builds))
-            builds.clear()
+            paths[trial] = (problems[trial], report, states, len(entries))
+            entries.clear()
     return paths
+
+
+def worst_qr_gaps(paths):
+    """Sampled path points, and the largest distance of the path decrement
+    (warm) and of a fresh workspace's decrement from the QR one."""
+    worst_warm = worst_fresh = 0.0
+    count = 0
+    for problem, _, states, _ in paths.values():
+        for state in states[:: max(1, len(states) // 25)]:
+            ref = qr_decrement(problem, state.point, state.eta)
+            _, fresh = newton_direction(problem, state.point, state.eta)
+            worst_warm = max(worst_warm, abs(state.decrement - ref))
+            worst_fresh = max(worst_fresh, abs(fresh - ref))
+            count += 1
+    return count, worst_warm, worst_fresh
+
+
+def assert_certified_paths(paths):
+    for problem, report, states, _ in paths.values():
+        assert report.gap_bound <= 1e-8
+        assert len(states) == len(report.trace)
+        for state in states:
+            assert state.decrement <= 0.25
+            assert residual_norm(problem, state.point) <= 1e-8
+            assert state.point.min() > 0.0
+
+
+@pytest.fixture(scope="module")
+def eps8_paths():
+    return eps8_solves(criterion_01_problems(), SAMPLE_TRIALS)
+
+
+@pytest.fixture(scope="module")
+def v_eps8_paths():
+    return eps8_solves(criterion_02_problems(), range(20))
 
 
 class TestStructuredNewton:
     def test_decrement_pinned_to_qr(self, eps8_paths):
-        worst_warm = worst_fresh = 0.0
-        count = 0
-        for problem, _, states, _ in eps8_paths.values():
-            for state in states[:: max(1, len(states) // 25)]:
-                ref = qr_decrement(problem, state.point, state.eta)
-                _, fresh = newton_direction(problem, state.point, state.eta)
-                worst_warm = max(worst_warm, abs(state.decrement - ref))
-                worst_fresh = max(worst_fresh, abs(fresh - ref))
-                count += 1
+        count, worst_warm, worst_fresh = worst_qr_gaps(eps8_paths)
         assert count >= 200
         assert worst_warm <= 1e-6
         assert worst_fresh <= 1e-6
 
     def test_degenerate_paths_certify_through_qr_tail(self, eps8_paths):
-        entered = 0
-        for trial in TAIL_TRIALS:
-            problem, report, states, builds = eps8_paths[trial]
-            assert report.gap_bound <= 1e-8
-            assert len(states) == len(report.trace)
-            for state in states:
-                assert state.decrement <= 0.25
-                assert residual_norm(problem, state.point) <= 1e-8
-                assert state.point.min() > 0.0
-            entered += builds > 0
-        assert entered >= 1
+        tail_paths = {trial: eps8_paths[trial] for trial in TAIL_TRIALS}
+        assert_certified_paths(tail_paths)
+        assert any(entries > 0 for *_, entries in tail_paths.values())
+
+    def test_v_decrement_pinned_to_qr(self, v_eps8_paths):
+        count, worst_warm, worst_fresh = worst_qr_gaps(v_eps8_paths)
+        assert count >= 200
+        assert worst_warm <= 1e-6
+        assert worst_fresh <= 1e-6
+
+    def test_v_paths_certify_through_qr_tail(self, v_eps8_paths):
+        assert_certified_paths(v_eps8_paths)
+        assert any(entries > 0 for *_, entries in v_eps8_paths.values())
 
     def test_condition_floor_starts_qr_tail(self):
         # near the vertex of a 2x2 the normal matrix stays positive definite
@@ -202,7 +231,7 @@ class TestStructuredNewton:
         for tiny, tail in ((1e-5, False), (1e-7, True)):
             u = np.array([0.5, tiny, tiny, 0.5])
             np.linalg.cholesky(MarginalOperator((2, 2)).normal_matrix(u * u))
-            workspace = ipm._MarginalWorkspace(problem)
+            workspace = ipm._NewtonWorkspace(problem)
             workspace.prepare(u)
             assert (workspace.rows is not None) == tail
 
@@ -212,10 +241,10 @@ class TestStructuredNewton:
         rng = np.random.default_rng(70)
         problem = random_problem((3, 4), rng)
         u = random_interior_point(problem, rng).ravel()
-        workspace = ipm._MarginalWorkspace(problem)
+        workspace = ipm._NewtonWorkspace(problem)
         workspace.prepare(u).directions((2.0, 3.0))
         guess = workspace.warm_start((5.0,))
-        cold = ipm._MarginalWorkspace(problem)
+        cold = ipm._NewtonWorkspace(problem)
         cold.prepare(u).direction(5.0)
         assert np.allclose(guess, cold.last[1], rtol=1e-9, atol=1e-12)
 
@@ -349,6 +378,21 @@ class TestShortStepSolve:
         )
         assert len(states) == len(report.trace)
         assert states[-1].iteration == report.iterations
+
+    def test_v_certifies_near_rounding_floor(self):
+        # V instances near the rounding floor at eps 1e-8: solved through a
+        # QR of the null basis, each one's decrement exceeded beta
+        for dims, seed in (((5, 2), 3), ((4, 4), 1), ((3, 3, 3), 3), ((6, 6), 1)):
+            problem = random_instance(dims, "V", SplitMix64(seed), "random")
+            states = []
+            report = short_step_solve(
+                problem, SolverConfig(epsilon=1e-8), observer=states.append
+            )
+            assert report.gap_bound <= 1e-8
+            for state in states:
+                assert state.decrement <= 0.25
+                assert residual_norm(problem, state.point) <= 1e-8
+            assert abs(report.value - solve_lp(problem).value) <= 1e-8
 
     def test_nonconvergence_budget(self):
         problem = uniform_problem((2, 2), [[0.0, 1.0], [1.0, 0.0]])

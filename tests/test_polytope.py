@@ -7,7 +7,6 @@ from totipm.polytope import (
     MarginalOperator,
     MarginalProblem,
     marginal_rhs,
-    adjoint_marginals,
     centering_project,
     feasible,
     null_basis,
@@ -123,26 +122,25 @@ class TestResidual:
 
 
 class TestAdjoint:
+    """MarginalOperator.adjoint: the multipliers of every mode's first
+    n_k - 1 rows, then the total-mass row's."""
+
     def test_zero_multipliers(self):
-        out = adjoint_marginals((2, 3), [np.zeros(1), np.zeros(2)], 0.0)
-        assert np.array_equal(out, np.zeros((2, 3)))
+        out = MarginalOperator((2, 3)).adjoint(np.zeros(4))
+        assert np.array_equal(out, np.zeros(6))
 
     def test_total_only(self):
-        out = adjoint_marginals((2, 2), [np.zeros(1), np.zeros(1)], 1.0)
-        assert np.array_equal(out, np.ones((2, 2)))
+        out = MarginalOperator((2, 2)).adjoint(np.array([0.0, 0.0, 1.0]))
+        assert np.array_equal(out, np.ones(4))
 
     def test_orthogonal_to_null_basis(self):
         rng = np.random.default_rng(22)
         for dims in [(3, 3), (2, 2, 2), (3, 2, 2)]:
             problem = uniform_problem(dims)
-            lam = [rng.normal(size=n - 1) for n in dims]
-            adj = adjoint_marginals(dims, lam, rng.normal())
+            op = MarginalOperator(dims)
+            adj = op.adjoint(rng.normal(size=op.n_rows))
             for element in null_basis(problem):
-                assert abs(inner(adj, element)) <= 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            adjoint_marginals((2, 2), [np.zeros(2), np.zeros(1)], 0.0)
+                assert abs(inner(adj.reshape(dims), element)) <= 1e-12
 
 
 class TestMarginalOperator:
@@ -217,7 +215,7 @@ class TestConstraintSystem:
             assert int(np.sum(s > 1e-8)) == expected_rows
 
     def test_v_rank_matches_null_dim(self):
-        for dims in [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3)]:
+        for dims in [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3), (1, 4), (2, 1, 3), (2, 3, 4), (2, 3, 2, 3)]:
             problem = uniform_problem(dims, variant="V")
             system = ConstraintSystem(problem)
             size = int(np.prod(dims))
@@ -225,6 +223,20 @@ class TestConstraintSystem:
             assert system.matrix.shape[0] == expected_rank
             s = np.linalg.svd(system.matrix, compute_uv=False)
             assert int(np.sum(s > 1e-8)) == expected_rank
+
+    def test_operator_signatures(self):
+        # the Newton workspace calls these as it calls MarginalOperator's
+        rng = np.random.default_rng(29)
+        system = ConstraintSystem(uniform_problem((2, 3, 4), variant="V"))
+        a = system.matrix
+        x = rng.normal(size=(2, a.shape[1]))
+        y = rng.normal(size=(2, a.shape[0]))
+        w = rng.uniform(0.1, 1.0, size=a.shape[1])
+        assert system.apply(x).shape == (2, system.n_rows)
+        assert np.abs(system.apply(x[0]) - a @ x[0]).max() <= 1e-14
+        assert np.abs(system.adjoint(y) - y @ a).max() <= 1e-14
+        assert np.abs(system.adjoint(y[0]) - a.T @ y[0]).max() <= 1e-14
+        assert np.abs(system.normal_matrix(w) - a @ np.diag(w) @ a.T).max() <= 1e-13
 
     def test_start_point_satisfies_system(self):
         for variant in ("U", "V"):

@@ -1,18 +1,12 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from totipm.tensor import (
-    all_ones,
-    as_tensor,
     contract_all_but,
-    flat_to_multi,
     frobenius_norm,
     inner,
     marginal,
     mode_contract,
-    multi_to_flat,
     outer,
 )
 
@@ -96,7 +90,7 @@ class TestInner:
 class TestContractAllBut:
     def test_product_tensor_marginal(self):
         u = outer([np.array([0.5, 0.5])] * 3)
-        x = all_ones((2, 2))
+        x = np.ones((2, 2))
         assert contract_all_but(u, 0, x) == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_column_sums(self):
@@ -167,30 +161,3 @@ class TestMarginalConsistency:
         u = outer(vectors)
         for k, p in enumerate(vectors):
             assert marginal(u, k) == pytest.approx(p, abs=1e-12)
-
-
-class TestIndexing:
-    def test_round_trip_all_shapes(self):
-        for d in range(1, 5):
-            dims = (4,) * d if d < 4 else (4, 4, 4, 4)
-            size = int(np.prod(dims))
-            for flat in range(size):
-                multi = flat_to_multi(flat, dims)
-                assert multi_to_flat(multi, dims) == flat
-
-    def test_matches_numpy_layout(self):
-        dims = (2, 3, 4)
-        u = np.arange(24.0).reshape(dims)
-        for idx in itertools.product(*(range(n) for n in dims)):
-            assert u[idx] == u.ravel()[multi_to_flat(idx, dims)]
-
-
-class TestAsTensor:
-    def test_flat_with_shape(self):
-        t = as_tensor([1.0, 2.0, 3.0, 4.0], shape=(2, 2))
-        assert t.shape == (2, 2)
-        assert t[1, 0] == 3.0
-
-    def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            as_tensor([1.0, 2.0, 3.0], shape=(2, 2))
