@@ -62,6 +62,7 @@ class TestSolverConfig:
             {"step_gamma": 0.2},
             {"decrement_beta": 0.0},
             {"decrement_beta": 0.3},
+            {"max_iterations": -1},
             {"max_iterations": 0},
         ],
     )
