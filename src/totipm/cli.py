@@ -133,7 +133,11 @@ def _benchmark_command(args) -> int:
         for trial in range(args.trials):
             jobs.append((n, trial, random_instance((n,) * args.d, "U", rng, args.marginals)))
 
-    config = SolverConfig(epsilon=args.epsilon)
+    try:
+        config = SolverConfig(epsilon=args.epsilon)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     results = []
     try:
         for n, trial, problem in jobs:

@@ -12,16 +12,17 @@ step w = delta / u, the step is w = diag(u) A^T y - dg with dg = eta*u*c - 1,
 the multipliers y solving A diag(u^2) A^T y = A diag(u) dg + (b - A u), and
 the decrement is |w|.
 
-Both variants solve that normal system directly, in one workspace; only
-the operator differs.  For the marginal variant ("U") A is never formed:
-MarginalOperator applies it as mode marginals and A^T as broadcast sums,
-and assembles M = A diag(u^2) A^T, of order 1 + sum(n_k - 1), from the 1-
-and 2-mode marginals of u^2 in O(d^2 N).  For the mode-sum variant ("V")
-ConstraintSystem keeps the prod(n_k) - prod(n_k - 1) independent 0/1 mode-sum
-rows and multiplies by them densely.  LAPACK potrf factors M once per
-iterate, and both Phase II solves (the trace decrement at eta and the next
-direction at eta * growth) share that factor as two right-hand sides.
-Squaring the condition number this way is made safe by two measures:
+Both variants solve that normal system directly, in one workspace, with
+one operator: ConstraintSystem, whose rows are a table of the modes each
+row fixes (the first n_k - 1 marginal rows of every mode and the total for
+"U", the independent mode sums for "V").  On small problems it multiplies by
+its dense 0/1 rows; above a size crossover it never forms them, applying A
+as partial sums, A^T as broadcast sums, and gathering M = A diag(u^2) A^T
+from the sums of u^2 over the modes each pair of rows leaves free.  LAPACK
+potrf factors M once per iterate, and both Phase II solves (the trace
+decrement at eta and the next direction at eta * growth) share that factor
+as two right-hand sides.  Squaring the condition number this way is made
+safe by two measures:
 
 * warm start: the first solve is for the correction to the previous
   iterate's multipliers, extrapolated in eta (at a fixed iterate y is affine
@@ -38,15 +39,15 @@ Near a degenerate vertex M truly loses rank.  A solve therefore switches for
 good to Householder QR of diag(u) A^T, reading the step off an orthogonal
 projection of dg, once potrf breaks down, once the LAPACK estimate (pocon)
 of the reciprocal condition number of M drops below 1e-12, or once CSNE has
-not settled after six steps: pocon can miss the rank loss by many orders (2e2 estimated against
-7e14 measured at one d = 3 point).  Only then, for variant U, are the dense
-rows of A built.
-The switch is one-way: toward the vertex M only gets worse, and retrying
-Cholesky at every later step found it usable for 104 of the 8 828 QR steps
-below.  Measured on the 50 criterion-1 instances at epsilon 1e-8: without
-the tail 16 fail, each on a potrf breakdown; with it all certify, QR takes
-8 828 of 76 748 steps, and the decrement agrees with the QR one to 4e-7 at
-644 sampled path points, warm or from a fresh workspace.  On the 20
+not settled after six steps: pocon can miss the rank loss by many orders
+(2e2 estimated against 7e14 measured at one d = 3 point).  Above the size
+crossover, the dense rows of A are built only then.  The switch is one-way:
+toward the vertex M only gets worse, and retrying Cholesky at every later
+step found it usable for 119 of the 8 778 QR steps after the switch below.
+Measured on the 50 criterion-1 instances at epsilon 1e-8: without the tail
+16 fail, each on a potrf breakdown; with it all certify, QR takes 8 793 of
+76 799 factorizations, and the decrement agrees with the QR one to 1.7e-7
+at 1 295 sampled path points, warm or from a fresh workspace.  On the 20
 criterion-2 (variant V) instances at epsilon 1e-8 all certify, 6 enter the
 tail, QR takes 2 345 of 23 073 factorizations, and the decrement agrees
 with the QR one to 1.9e-7 at 520 sampled path points, warm or fresh.
@@ -61,13 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .polytope import (
-    ConstraintSystem,
-    MarginalOperator,
-    MarginalProblem,
-    marginal_rhs,
-    start_point,
-)
+from .polytope import ConstraintSystem, MarginalProblem, start_point
 
 __all__ = [
     "SolverConfig",
@@ -140,7 +135,8 @@ class SolverConfig:
     max_iterations: int = 200_000
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        # written so that NaN fails the checks too
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         # the short-step safety region; larger values void the one-step
         # proximity restoration argument
@@ -148,7 +144,7 @@ class SolverConfig:
             raise ValueError("step_gamma must lie in (0, 1/8]")
         if not 0.0 < self.decrement_beta <= 0.25:
             raise ValueError("decrement_beta must lie in (0, 1/4]")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
 
 
@@ -182,14 +178,9 @@ class _NewtonWorkspace:
     ill-conditioned."""
 
     def __init__(self, problem: MarginalProblem):
-        self.problem = problem
         self.cost = problem.cost.ravel()
-        if problem.variant == "U":
-            self.op = MarginalOperator(problem.dims)
-            self.rhs = marginal_rhs(problem)
-        else:
-            self.op = ConstraintSystem(problem)
-            self.rhs = self.op.rhs
+        self.op = ConstraintSystem(problem)
+        self.rhs = self.op.rhs
         # (etas, multipliers) of the last Cholesky solve; multipliers are
         # affine in eta at a fixed iterate, so two columns extrapolate
         self.last = None
@@ -210,8 +201,7 @@ class _NewtonWorkspace:
         return _ProjectionFactor(self, u, q, r)
 
     def start_tail(self):
-        system = self.op if self.problem.variant == "V" else ConstraintSystem(self.problem)
-        self.rows = system.matrix
+        self.rows = self.op.matrix
 
     def warm_start(self, etas):
         if self.last is None:
@@ -430,7 +420,7 @@ def predicted_iterations(problem: MarginalProblem, epsilon: float, c0: float = D
     C0 is an empirical calibration constant (DEFAULT_C0), reported rather
     than derived; the sqrt/log shape is what the theory fixes.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     n_prod = float(problem.size)
     min_prod = 1.0

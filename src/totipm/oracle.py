@@ -204,15 +204,16 @@ def dual_certificate(problem: MarginalProblem, result: SimplexResult) -> DualCer
     potentials (last entry zero) and the total-mass multiplier."""
     if problem.variant != "U":
         raise ValueError("dual certificates are defined for the marginal variant only")
-    dims = problem.dims
+    # a row that fixes mode k at i carries phi_k[i]; the row that fixes no
+    # mode carries the total
+    pattern = ConstraintSystem(problem).pattern
     potentials = []
-    offset = 0
-    for n in dims:
+    for k, n in enumerate(problem.dims):
+        rows = pattern[:, k] >= 0
         phi = np.zeros(n)
-        phi[: n - 1] = result.dual[offset : offset + n - 1]
+        phi[pattern[rows, k]] = result.dual[rows]
         potentials.append(phi)
-        offset += n - 1
-    total = float(result.dual[offset])
+    total = float(result.dual[np.all(pattern < 0, axis=1)][0])
     return DualCertificate(potentials=tuple(potentials), total=total)
 
 

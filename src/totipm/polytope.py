@@ -15,12 +15,15 @@ interior starting point of the path-following solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .tensor import contract_all_but, frobenius_norm, inner, marginal, mode_contract, outer
+from .tensor import frobenius_norm, marginal, mode_contract, outer
 
 __all__ = [
     "MarginalProblem",
@@ -28,8 +31,6 @@ __all__ = [
     "start_point",
     "residual",
     "residual_norm",
-    "MarginalOperator",
-    "marginal_rhs",
     "null_basis",
     "null_basis_matrix",
     "null_space_dim",
@@ -97,93 +98,196 @@ class MarginalProblem:
         return self.cost.size
 
 
-def _u_rows(dims) -> np.ndarray:
-    """Reduced marginal rows: the first n_k - 1 rows of every mode, then one
-    total-mass row.  Always full row rank (1 + sum(n_k - 1) rows)."""
+# ConstraintSystem multiplies by its dense rows while m * N (rows times
+# tensor entries) is at most this, and by reductions above it, where a few
+# numpy calls per product no longer cost more than the flops they save.
+# The operator calls of one Newton step (normal_matrix once, apply twice and
+# adjoint three times on two right-hand sides), dense against reductions in
+# us, one BLAS thread on a 2-core Xeon: U 16x16 (m*N = 7 936) 38/57, V 5x5x5
+# (7 625) 59/79, U 8x8x8 (11 264) 45/143; V 6x6x5 (14 400) 117/114, U 20x20
+# (15 600) 117/92, V 6x6x6 (19 656) 180/129, U 24x24 (27 072) 209/109.  U
+# with three modes favours dense rows further up (9x9x9, 18 225: 84/156).
+_DENSE_CROSSOVER = 12_000
+
+
+def _row_table(dims, variant) -> np.ndarray:
+    """The (m, d) row table of ConstraintSystem: row r fixes mode j at
+    index table[r, j], or leaves it free where that is -1."""
     d = len(dims)
-    size = int(np.prod(dims))
     rows = []
-    for k, n in enumerate(dims):
-        for r in range(n - 1):
-            t = np.zeros(dims)
-            idx = [slice(None)] * d
-            idx[k] = r
-            t[tuple(idx)] = 1.0
-            rows.append(t.ravel())
-    rows.append(np.ones(size))
-    return np.array(rows)
+    if variant == "U":
+        for k, n in enumerate(dims):
+            for i in range(n - 1):
+                rows.append([-1] * k + [i] + [-1] * (d - k - 1))
+        rows.append([-1] * d)
+    else:
+        for k in range(d):
+            for j_idx in np.ndindex(*(dims[:k] + dims[k + 1 :])):
+                if all(j_idx[j] < dims[j] - 1 for j in range(k)):
+                    rows.append(list(j_idx[:k]) + [-1] + list(j_idx[k:]))
+    return np.array(rows, dtype=np.intp)
 
 
-def marginal_rhs(problem: MarginalProblem) -> np.ndarray:
-    """Right-hand side b of the reduced "U" rows: p_k without its last entry
-    for every mode, then the total mass 1."""
-    parts = [p[:-1] for p in problem.marginals]
-    parts.append([1.0])
-    return np.concatenate(parts)
+_Sums = namedtuple("_Sums", ["steps", "kept", "used", "index"])
 
 
-def _v_rows(problem: MarginalProblem):
-    """Mode-sum rows, one per (mode k, multi-index of the other modes) in
-    row-major order, keeping only the multi-indices whose entry on every
-    mode before k avoids that mode's last value.
+def _sum_layout(dims, fixed, coords, shift=0) -> _Sums:
+    """How to read entries off partial sums of a tensor: entry e is the sum
+    over the modes j where ``fixed[j, e]`` is false, at ``coords[j, e]`` on
+    the others (``coords`` may hold anything on the free modes).
 
-    The count, sum_k prod_{j<k}(n_j - 1) prod_{j>k} n_j, telescopes to
-    prod(n_k) - prod(n_k - 1), the rank of all mode sums together, and the
-    kept rows reach that rank (the tests check shapes up to four modes).
+    Every distinct set of kept modes is summed once, from the smallest
+    tensor already summed that keeps its modes (the tensor itself first).
+    ``steps`` holds, per sum, its source and the axes it sums (moved by
+    ``shift`` for a leading batch axis); ``used`` picks the sums the
+    entries read, ``kept`` their kept modes, and ``index`` is each entry's
+    position in their flat concatenation.
     """
-    dims = problem.dims
-    rows = []
-    rhs = []
-    for k in range(len(dims)):
-        other = [p for j, p in enumerate(problem.marginals) if j != k]
-        target = outer(other) if other else np.array(1.0)
-        for j_idx in np.ndindex(*target.shape):
-            if any(j_idx[j] == dims[j] - 1 for j in range(k)):
-                continue
-            t = np.zeros(dims)
-            idx = list(j_idx[:k]) + [slice(None)] + list(j_idx[k:])
-            t[tuple(idx)] = 1.0
-            rows.append(t.ravel())
-            rhs.append(float(target[j_idx]))
-    return np.array(rows), np.array(rhs)
+    d = len(dims)
+    codes = (1 << np.arange(d)) @ fixed
+    present = np.flatnonzero(np.bincount(codes, minlength=1 << d))
+    wanted = [tuple(j for j in range(d) if c >> j & 1) for c in present]
+    order = [tuple(range(d))]
+    steps = []
+    for kept in sorted(set(wanted) - {order[0]}, key=lambda s: (-len(s), s)):
+        source = min(
+            (i for i, s in enumerate(order) if set(kept) <= set(s)),
+            key=lambda i: math.prod(dims[j] for j in order[i]),
+        )
+        axes = tuple(a + shift for a, j in enumerate(order[source]) if j not in kept)
+        steps.append((source, axes))
+        order.append(kept)
+    used = [i for i, s in enumerate(order) if s in wanted]
+    # per set of kept modes: where its sum starts in the concatenation, and
+    # its row-major strides (0 on the free modes)
+    start = np.zeros(1 << d, dtype=np.intp)
+    strides = np.zeros((1 << d, d), dtype=np.intp)
+    offset = 0
+    for i in used:
+        code = sum(1 << j for j in order[i])
+        start[code] = offset
+        for j in order[i]:
+            strides[code, j] = math.prod(dims[k] for k in order[i] if k > j)
+        offset += math.prod(dims[j] for j in order[i])
+    index = start.take(codes) + sum(c * s.take(codes) for c, s in zip(coords, strides.T))
+    return _Sums(steps, [order[i] for i in used], used, index)
+
+
+def _partial_sums(t, sums: _Sums) -> list:
+    """The sums of ``t`` that ``sums`` reads, in its order."""
+    out = [t]
+    for source, axes in sums.steps:
+        out.append(np.add.reduce(out[source], axis=axes))
+    return [out[i] for i in sums.used]
 
 
 class ConstraintSystem:
-    """Full-row-rank equality description ``A vec(X) = b`` of the affine slice.
+    """Full-row-rank equality description ``A vec(X) = b`` of the affine
+    slice, held as a row table.
 
-    Variant "U" drops the last marginal row of every mode and appends a single
-    total-mass row; the result has 1 + sum(n_k - 1) rows and full row rank for
-    every d.  Variant "V" keeps the mode-sum rows chosen by an index rule (see
-    _v_rows): prod(n_k) - prod(n_k - 1) rows, again of full row rank.
+    Row r of the (m, d) table ``pattern`` fixes mode j at index
+    ``pattern[r, j]``, or leaves it free where that is -1: it sums the
+    entries that agree with it on every fixed mode, and its right-hand side
+    is the product of the p_j at the fixed indices.  Variant "U" keeps the
+    first n_k - 1 marginal rows of every mode, then the total mass (no mode
+    fixed): 1 + sum(n_k - 1) rows.  Variant "V" keeps, mode k by mode k,
+    the sums along k (every other mode fixed) whose index on every earlier
+    mode avoids that mode's last value, in row-major order.  Their count,
+    sum_k prod_{j<k}(n_j - 1) prod_{j>k} n_j, telescopes to
+    prod(n_k) - prod(n_k - 1), the rank of all mode sums together, and the
+    kept rows reach it (the tests check shapes up to four modes).
 
-    ``apply``, ``adjoint`` and ``normal_matrix`` multiply by the dense rows,
-    with the signatures of MarginalOperator's.
+    ``apply``, ``adjoint`` and ``normal_matrix`` act on flat vectors.  Up to
+    _DENSE_CROSSOVER in m * N they multiply by the dense rows ``matrix``;
+    above it they never form them: A x reads the rows off partial sums of
+    x, A^T y spreads each multiplier over the entries its row sums, and
+    entry (r, s) of A diag(w) A^T is the sum of w over the modes neither
+    row fixes, at the indices they fix (0 where the two rows fix one mode
+    at different indices).
     """
 
     def __init__(self, problem: MarginalProblem):
-        self.variant = problem.variant
         self.dims = problem.dims
-        if problem.variant == "U":
-            self.matrix = _u_rows(problem.dims)
-            self.rhs = marginal_rhs(problem)
-        else:
-            self.matrix, self.rhs = _v_rows(problem)
+        self.pattern = _row_table(problem.dims, problem.variant)
+        self.rhs = np.ones(len(self.pattern))
+        for j, p in enumerate(problem.marginals):
+            at = self.pattern[:, j]
+            self.rhs = self.rhs * np.where(at >= 0, p[at], 1.0)
+        self._dense = self.n_rows * problem.size <= _DENSE_CROSSOVER
 
     @property
     def n_rows(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.pattern)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense m x N 0/1 rows."""
+        modes = np.indices(self.dims).reshape(len(self.dims), 1, -1)
+        table = self.pattern.T[:, :, None]
+        return np.all((table < 0) | (table == modes), axis=0).astype(np.float64)
+
+    @functools.cached_property
+    def _row_sums(self) -> tuple:
+        """The sums A x reads its rows off, and per kept-mode set the slice
+        of those sums' concatenation and the broadcast shape A^T y spreads
+        it with, smaller sets first so that fewer adds are full size."""
+        table = self.pattern.T
+        sums = _sum_layout(self.dims, table >= 0, table, shift=1)
+        spread = []
+        start = 0
+        for kept in sums.kept:
+            size = math.prod(self.dims[j] for j in kept)
+            shape = (-1,) + tuple(n if j in kept else 1 for j, n in enumerate(self.dims))
+            spread.append((slice(start, start + size), shape))
+            start += size
+        return sums, sorted(spread, key=lambda term: term[0].stop - term[0].start), start
+
+    @functools.cached_property
+    def _pair_sums(self) -> tuple:
+        """The sums A diag(w) A^T is gathered from, and where each entry
+        comes from: rows r and s read the modes either fixes, at the index
+        one of them fixes there, or -1 (an appended 0) where they fix one
+        mode at different indices."""
+        left, right = self.pattern.T[:, :, None], self.pattern.T[:, None, :]
+        both = np.maximum(left, right).reshape(len(self.dims), -1)
+        sums = _sum_layout(self.dims, both >= 0, both)
+        clash = np.any((np.minimum(left, right) >= 0) & (left != right), axis=0)
+        return sums, np.where(clash, -1, sums.index.reshape(clash.shape))
 
     def apply(self, x) -> np.ndarray:
         """A x for flat ``x`` of shape (N,) or (r, N)."""
-        return x @ self.matrix.T
+        if self._dense:
+            return x @ self.matrix.T
+        sums, _, _ = self._row_sums
+        t = x.reshape((-1,) + self.dims)
+        out = np.concatenate([s.reshape(len(t), -1) for s in _partial_sums(t, sums)], axis=1)
+        out = out.take(sums.index, axis=1)
+        return out if x.ndim == 2 else out[0]
 
     def adjoint(self, y) -> np.ndarray:
         """A^T y, flat, for ``y`` of shape (m,) or (r, m)."""
-        return y @ self.matrix
+        if self._dense:
+            return y @ self.matrix
+        sums, ((cut, shape), *rest), size = self._row_sums
+        rows = y.reshape(-1, self.n_rows)
+        spread = np.zeros((len(rows), size))
+        spread[:, sums.index] = rows
+        out = spread[:, cut].reshape(shape)
+        for cut, shape in rest:
+            out = out + spread[:, cut].reshape(shape)
+        if out.shape[1:] != self.dims:
+            # one mode under variant V: its one row keeps no mode
+            out = np.broadcast_to(out, (len(rows),) + self.dims)
+        out = out.reshape(len(rows), -1)
+        return out if y.ndim == 2 else out[0]
 
     def normal_matrix(self, w) -> np.ndarray:
         """A diag(w) A^T for flat weights ``w`` of shape (N,)."""
-        return (self.matrix * w) @ self.matrix.T
+        if self._dense:
+            return (self.matrix * w) @ self.matrix.T
+        sums, index = self._pair_sums
+        parts = _partial_sums(w.reshape(self.dims), sums)
+        return np.concatenate(parts + [np.zeros(1)], axis=None).take(index)
 
 
 def start_point(problem: MarginalProblem) -> np.ndarray:
@@ -215,109 +319,6 @@ def residual(problem: MarginalProblem, u) -> list:
 def residual_norm(problem: MarginalProblem, u) -> float:
     """Largest Frobenius norm among the per-mode residuals."""
     return max(frobenius_norm(r) for r in residual(problem, u))
-
-
-class MarginalOperator:
-    """The reduced "U" rows of ConstraintSystem, applied as tensor reductions.
-
-    ``apply`` takes mode marginals and ``adjoint`` broadcasts multipliers
-    back over the tensor, both on flat vectors with an optional leading
-    batch axis.  ``normal_matrix`` assembles A diag(w) A^T, of order
-    m = 1 + sum(n_k - 1), from the 1- and 2-mode marginals of w in O(d^2 N).
-    No dense m x N matrix is formed.
-    """
-
-    def __init__(self, dims):
-        dims = tuple(int(n) for n in dims)
-        d = len(dims)
-        self.dims = dims
-        self.size = int(np.prod(dims))
-        self.n_rows = 1 + sum(n - 1 for n in dims)
-        # a multiplier vector padded with the implicit zero of every mode's
-        # dropped last row: n_1 + .. + n_d slots, then the total
-        starts = np.cumsum([0] + list(dims))
-        self._padded_len = int(starts[-1]) + 1
-        self._keep = np.concatenate(
-            [np.arange(starts[k], starts[k + 1] - 1) for k in range(d)] + [[starts[-1]]]
-        ).astype(np.intp)
-        self._broadcast = [
-            (slice(starts[k], starts[k + 1]), (-1,) + (1,) * k + (n,) + (1,) * (d - k - 1))
-            for k, n in enumerate(dims)
-        ]
-        self._batched_dims = (-1,) + dims
-        self._marginal_axes = [tuple(1 + j for j in range(d) if j != k) for k in range(d)]
-        self._pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
-        self._pair_axes = [tuple(j for j in range(d) if j not in kl) for kl in self._pairs]
-        # normal_matrix gathers M from the concatenated marginals of w; where
-        # each entry comes from is found once, from the marginals' positions
-        parts = self._parts(np.zeros(dims))
-        offsets = np.cumsum([0] + [part.size for part in parts])
-        self._layout = self._layout_of(
-            [offsets[i] + np.arange(part.size).reshape(part.shape) for i, part in enumerate(parts)]
-        )
-
-    def apply(self, x) -> np.ndarray:
-        """A x for flat ``x`` of shape (N,) or (r, N)."""
-        t = x.reshape(self._batched_dims)
-        margs = [np.add.reduce(t, axis=axes) for axes in self._marginal_axes]
-        margs.append(np.add.reduce(margs[0], axis=1, keepdims=True))
-        out = np.concatenate(margs, axis=1)[:, self._keep]
-        return out if x.ndim == 2 else out[0]
-
-    def adjoint(self, y) -> np.ndarray:
-        """A^T y, flat, for ``y`` of shape (m,) or (r, m): entry (i_1..i_d)
-        is the total's multiplier plus sum_k y_k[i_k]."""
-        rows = y if y.ndim == 2 else y[None]
-        padded = np.zeros((rows.shape[0], self._padded_len))
-        padded[:, self._keep] = rows
-        (cut, shape), *rest = self._broadcast
-        out = (padded[:, cut] + padded[:, -1:]).reshape(shape)
-        for cut, shape in rest:
-            out = out + padded[:, cut].reshape(shape)
-        out = out.reshape(rows.shape[0], self.size)
-        return out if y.ndim == 2 else out[0]
-
-    def normal_matrix(self, w) -> np.ndarray:
-        """A diag(w) A^T for flat weights ``w`` of shape (N,)."""
-        # the appended 0 is entry -1, where _layout points for zero entries
-        values = np.concatenate(self._parts(w.reshape(self.dims)) + [np.zeros(1)], axis=None)
-        return values[self._layout]
-
-    def _parts(self, t) -> list:
-        """The 1-mode marginals of t, its total, then its 2-mode marginals."""
-        d = len(self.dims)
-        if d == 1:
-            return [t, np.add.reduce(t, keepdims=True)]
-        pairs = [np.add.reduce(t, axis=axes) for axes in self._pair_axes]
-        margs = [np.add.reduce(pairs[0], axis=1), np.add.reduce(pairs[0], axis=0)]
-        margs += [np.add.reduce(pairs[l - 1], axis=0) for l in range(2, d)]
-        return margs + [np.add.reduce(margs[0], keepdims=True)] + pairs
-
-    def _layout_of(self, parts) -> np.ndarray:
-        """M with each entry replaced by the index it is copied from in
-        ``parts`` (ordered as _parts returns them), -1 where M is 0.
-
-        Block (k, l) is the 2-mode marginal on modes k and l without their
-        dropped last rows, block (k, k) is diagonal with the mode-k
-        marginal, and the total-mass row and column hold the marginals and
-        the total.
-        """
-        dims = self.dims
-        d = len(dims)
-        margs, total, pairs = parts[:d], parts[d], parts[d + 1 :]
-        starts = np.cumsum([0] + [n - 1 for n in dims])
-        out = np.full((self.n_rows, self.n_rows), -1, dtype=np.intp)
-        for k, n in enumerate(dims):
-            rows = np.arange(starts[k], starts[k + 1])
-            out[rows, rows] = margs[k][: n - 1]
-            out[rows, -1] = margs[k][: n - 1]
-            out[-1, rows] = margs[k][: n - 1]
-        for (k, l), pair in zip(self._pairs, pairs):
-            block = pair[: dims[k] - 1, : dims[l] - 1]
-            out[starts[k] : starts[k + 1], starts[l] : starts[l + 1]] = block
-            out[starts[l] : starts[l + 1], starts[k] : starts[k + 1]] = block.T
-        out[-1, -1] = total[0]
-        return out
 
 
 def _difference_vectors(n: int) -> list:

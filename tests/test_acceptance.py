@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, one [PASS]/[FAIL] line each.
 
-The summary lines are registered with conftest and printed after the run
-(pytest's capture would swallow them mid-test); the same text is the
-assertion message on failure.  Criteria 1, 2 and 7 share two module-scoped
-solve batches.
+The summary lines are collected in ``streams.criterion_lines`` and printed
+after the run by conftest (pytest's capture would swallow them mid-test);
+the same text is the assertion message on failure.  Criteria 1, 2 and 7
+share two module-scoped solve batches.
 """
 
 import math
@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import criterion_01_problems, criterion_02_problems, criterion_lines
+from streams import criterion_01_problems, criterion_02_problems, criterion_lines
 
 import totipm.cli as cli
 from totipm.barrier import (

@@ -67,6 +67,10 @@ class TestSolveCommand:
     def test_bad_config_exits_2(self, matching_instance, capsys):
         assert cli.main(["solve", matching_instance, "--gamma", "0.5"]) == 2
 
+    def test_nan_epsilon_exits_2(self, matching_instance, capsys):
+        assert cli.main(["solve", matching_instance, "--epsilon", "nan"]) == 2
+        assert "epsilon must be positive" in capsys.readouterr().err
+
     def test_solver_failure_exits_3(self, matching_instance, capsys, monkeypatch):
         def boom(problem, config):
             raise SolverError("induced failure")
@@ -130,6 +134,10 @@ class TestBenchmarkCommand:
 
     def test_rejects_small_sizes(self, capsys):
         assert cli.main(["benchmark", "--sizes", "1", "4"]) == 2
+
+    def test_nan_epsilon_exits_2(self, capsys):
+        assert cli.main(["benchmark", "--sizes", "3", "--epsilon", "nan"]) == 2
+        assert "epsilon must be positive" in capsys.readouterr().err
 
     def test_solver_failure_exits_3(self, capsys, monkeypatch):
         def boom(problem, config):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import criterion_01_problems, criterion_02_problems
+from streams import criterion_01_problems, criterion_02_problems
 
 import totipm.ipm as ipm
+import totipm.polytope as polytope
 from totipm.ipm import (
     DEFAULT_C0,
     NonConvergenceError,
@@ -20,7 +21,6 @@ from totipm.instances import SplitMix64, random_instance
 from totipm.oracle import solve_lp
 from totipm.polytope import (
     ConstraintSystem,
-    MarginalOperator,
     MarginalProblem,
     null_basis_matrix,
     random_interior_point,
@@ -64,6 +64,8 @@ class TestSolverConfig:
             {"decrement_beta": 0.3},
             {"max_iterations": -1},
             {"max_iterations": 0},
+            {"epsilon": float("nan")},
+            {"max_iterations": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -145,7 +147,13 @@ def qr_decrement(problem, u, eta):
     return workspace.prepare(u.ravel()).direction(eta)[1]
 
 
-def eps8_solves(problems, trials):
+def reductions_only(patch):
+    """Make every ConstraintSystem built under ``patch`` apply its rows by
+    reductions, whatever its size."""
+    patch.setattr(polytope, "_DENSE_CROSSOVER", -1)
+
+
+def eps8_solves(problems, trials, by_reductions=False):
     """Per trial: problem, report, trace states and the number of times the
     solve entered the QR tail, from eps 1e-8 solves."""
     entries = []
@@ -157,6 +165,8 @@ def eps8_solves(problems, trials):
 
     paths = {}
     with pytest.MonkeyPatch.context() as patch:
+        if by_reductions:
+            reductions_only(patch)
         patch.setattr(ipm._NewtonWorkspace, "start_tail", counted)
         for trial in trials:
             states = []
@@ -168,18 +178,21 @@ def eps8_solves(problems, trials):
     return paths
 
 
-def worst_qr_gaps(paths):
+def worst_qr_gaps(paths, by_reductions=False):
     """Sampled path points, and the largest distance of the path decrement
     (warm) and of a fresh workspace's decrement from the QR one."""
     worst_warm = worst_fresh = 0.0
     count = 0
-    for problem, _, states, _ in paths.values():
-        for state in states[:: max(1, len(states) // 25)]:
-            ref = qr_decrement(problem, state.point, state.eta)
-            _, fresh = newton_direction(problem, state.point, state.eta)
-            worst_warm = max(worst_warm, abs(state.decrement - ref))
-            worst_fresh = max(worst_fresh, abs(fresh - ref))
-            count += 1
+    with pytest.MonkeyPatch.context() as patch:
+        if by_reductions:
+            reductions_only(patch)
+        for problem, _, states, _ in paths.values():
+            for state in states[:: max(1, len(states) // 25)]:
+                ref = qr_decrement(problem, state.point, state.eta)
+                _, fresh = newton_direction(problem, state.point, state.eta)
+                worst_warm = max(worst_warm, abs(state.decrement - ref))
+                worst_fresh = max(worst_fresh, abs(fresh - ref))
+                count += 1
     return count, worst_warm, worst_fresh
 
 
@@ -201,6 +214,18 @@ def eps8_paths():
 @pytest.fixture(scope="module")
 def v_eps8_paths():
     return eps8_solves(criterion_02_problems(), range(20))
+
+
+# the criterion streams lie below the crossover; these solve them by
+# reductions only
+@pytest.fixture(scope="module")
+def eps8_paths_by_reductions():
+    return eps8_solves(criterion_01_problems(), SAMPLE_TRIALS, by_reductions=True)
+
+
+@pytest.fixture(scope="module")
+def v_eps8_paths_by_reductions():
+    return eps8_solves(criterion_02_problems(), range(20), by_reductions=True)
 
 
 class TestStructuredNewton:
@@ -225,13 +250,27 @@ class TestStructuredNewton:
         assert_certified_paths(v_eps8_paths)
         assert any(entries > 0 for *_, entries in v_eps8_paths.values())
 
+    def test_decrement_pinned_to_qr_by_reductions(self, eps8_paths_by_reductions):
+        count, worst_warm, worst_fresh = worst_qr_gaps(eps8_paths_by_reductions, by_reductions=True)
+        assert count >= 200
+        assert worst_warm <= 1e-6
+        assert worst_fresh <= 1e-6
+        assert_certified_paths(eps8_paths_by_reductions)
+
+    def test_v_decrement_pinned_to_qr_by_reductions(self, v_eps8_paths_by_reductions):
+        count, worst_warm, worst_fresh = worst_qr_gaps(v_eps8_paths_by_reductions, by_reductions=True)
+        assert count >= 200
+        assert worst_warm <= 1e-6
+        assert worst_fresh <= 1e-6
+        assert_certified_paths(v_eps8_paths_by_reductions)
+
     def test_condition_floor_starts_qr_tail(self):
         # near the vertex of a 2x2 the normal matrix stays positive definite
         # while its reciprocal condition number falls past 1e-12
         problem = uniform_problem((2, 2))
         for tiny, tail in ((1e-5, False), (1e-7, True)):
             u = np.array([0.5, tiny, tiny, 0.5])
-            np.linalg.cholesky(MarginalOperator((2, 2)).normal_matrix(u * u))
+            np.linalg.cholesky(ConstraintSystem(problem).normal_matrix(u * u))
             workspace = ipm._NewtonWorkspace(problem)
             workspace.prepare(u)
             assert (workspace.rows is not None) == tail
@@ -250,14 +289,17 @@ class TestStructuredNewton:
         assert np.allclose(guess, cold.last[1], rtol=1e-9, atol=1e-12)
 
     def test_no_dense_rows_without_tail(self, monkeypatch):
-        def refuse(problem):
+        # above the crossover only the QR tail reads the dense rows
+        def refuse(system):
             raise AssertionError("dense constraint rows built")
 
-        monkeypatch.setattr(ipm, "ConstraintSystem", refuse)
+        monkeypatch.setattr(polytope, "_DENSE_CROSSOVER", -1)
+        monkeypatch.setattr(ConstraintSystem, "matrix", property(refuse))
         rng = np.random.default_rng(69)
-        problem = random_problem((4, 5), rng)
-        report = short_step_solve(problem, SolverConfig(epsilon=1e-4))
-        assert report.gap_bound <= 1e-4
+        for variant in ("U", "V"):
+            problem = random_problem((4, 5), rng, variant)
+            report = short_step_solve(problem, SolverConfig(epsilon=1e-4))
+            assert report.gap_bound <= 1e-4
 
 
 class TestCenter:
@@ -433,6 +475,10 @@ class TestPredictedIterations:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             predicted_iterations(uniform_problem((2, 2)), 0.0)
+
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError):
+            predicted_iterations(uniform_problem((2, 2)), float("nan"))
 
 
 class TestClassifyWeakUniform:

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+import totipm.polytope as polytope
 from totipm.oracle import solve_lp
 from totipm.polytope import (
     ConstraintSystem,
-    MarginalOperator,
     MarginalProblem,
-    marginal_rhs,
     centering_project,
     feasible,
     null_basis,
@@ -122,47 +121,69 @@ class TestResidual:
 
 
 class TestAdjoint:
-    """MarginalOperator.adjoint: the multipliers of every mode's first
-    n_k - 1 rows, then the total-mass row's."""
+    """ConstraintSystem.adjoint of variant U: the multipliers of every
+    mode's first n_k - 1 rows, then the total-mass row's."""
 
     def test_zero_multipliers(self):
-        out = MarginalOperator((2, 3)).adjoint(np.zeros(4))
+        out = ConstraintSystem(uniform_problem((2, 3))).adjoint(np.zeros(4))
         assert np.array_equal(out, np.zeros(6))
 
     def test_total_only(self):
-        out = MarginalOperator((2, 2)).adjoint(np.array([0.0, 0.0, 1.0]))
+        out = ConstraintSystem(uniform_problem((2, 2))).adjoint(np.array([0.0, 0.0, 1.0]))
         assert np.array_equal(out, np.ones(4))
 
     def test_orthogonal_to_null_basis(self):
         rng = np.random.default_rng(22)
         for dims in [(3, 3), (2, 2, 2), (3, 2, 2)]:
             problem = uniform_problem(dims)
-            op = MarginalOperator(dims)
-            adj = op.adjoint(rng.normal(size=op.n_rows))
+            system = ConstraintSystem(problem)
+            adj = system.adjoint(rng.normal(size=system.n_rows))
             for element in null_basis(problem):
                 assert abs(inner(adj.reshape(dims), element)) <= 1e-12
 
 
+def assert_close(value, reference):
+    assert value.shape == reference.shape
+    assert np.abs(value - reference).max() <= 1e-14 * max(1.0, np.abs(reference).max())
+
+
 class TestMarginalOperator:
-    SHAPES = [(1,), (3,), (1, 4), (2, 1, 3), (2, 3, 2, 3)]
+    """The constraint operator of ConstraintSystem (apply, adjoint and
+    normal_matrix) against its dense rows, for both variants, on both
+    sides of the crossover between dense rows and reductions."""
+
+    # the last shape lies above the crossover for both variants
+    SHAPES = [(1,), (3,), (1, 4), (2, 1, 3), (2, 3, 2, 3), (24, 24)]
 
     @pytest.mark.parametrize("dims", SHAPES)
-    def test_matches_dense_rows(self, dims):
+    def test_matches_dense_rows(self, dims, monkeypatch):
         rng = np.random.default_rng(23)
-        problem = uniform_problem(dims)
-        system = ConstraintSystem(problem)
-        a = system.matrix
-        op = MarginalOperator(dims)
-        assert op.n_rows == a.shape[0]
-        assert np.array_equal(marginal_rhs(problem), system.rhs)
-        x = rng.normal(size=(2, a.shape[1]))
-        y = rng.normal(size=(2, a.shape[0]))
-        w = rng.uniform(0.1, 1.0, size=a.shape[1])
-        assert np.abs(op.apply(x) - x @ a.T).max() <= 1e-14
-        assert np.abs(op.apply(x[0]) - a @ x[0]).max() <= 1e-14
-        assert np.abs(op.adjoint(y) - y @ a).max() <= 1e-14
-        assert np.abs(op.adjoint(y[0]) - a.T @ y[0]).max() <= 1e-14
-        assert np.abs(op.normal_matrix(w) - (a * w) @ a.T).max() <= 1e-14
+        size = int(np.prod(dims))
+        for variant in ("U", "V"):
+            problem = uniform_problem(dims, variant=variant)
+            for crossover in (2**62, -1):
+                monkeypatch.setattr(polytope, "_DENSE_CROSSOVER", crossover)
+                system = ConstraintSystem(problem)
+                x = rng.normal(size=(2, size))
+                y = rng.normal(size=(2, system.n_rows))
+                w = rng.uniform(0.1, 1.0, size=size)
+                out = [
+                    system.apply(x),
+                    system.apply(x[0]),
+                    system.adjoint(y),
+                    system.adjoint(y[0]),
+                    system.normal_matrix(w),
+                ]
+                if crossover < 0:
+                    # the reductions never form the dense rows
+                    assert "matrix" not in vars(system)
+                a = system.matrix
+                assert a.shape == (system.n_rows, size)
+                for value, reference in zip(
+                    out, [x @ a.T, a @ x[0], y @ a, a.T @ y[0], (a * w) @ a.T]
+                ):
+                    assert_close(value, reference)
+
 
 class TestNullBasis:
     def test_2x2_difference(self):
@@ -225,7 +246,7 @@ class TestConstraintSystem:
             assert int(np.sum(s > 1e-8)) == expected_rank
 
     def test_operator_signatures(self):
-        # the Newton workspace calls these as it calls MarginalOperator's
+        # the Newton workspace calls these with and without a batch axis
         rng = np.random.default_rng(29)
         system = ConstraintSystem(uniform_problem((2, 3, 4), variant="V"))
         a = system.matrix
@@ -237,6 +258,52 @@ class TestConstraintSystem:
         assert np.abs(system.adjoint(y) - y @ a).max() <= 1e-14
         assert np.abs(system.adjoint(y[0]) - a.T @ y[0]).max() <= 1e-14
         assert np.abs(system.normal_matrix(w) - a @ np.diag(w) @ a.T).max() <= 1e-13
+
+    def test_u_rows_pinned(self):
+        problem = MarginalProblem(
+            cost=np.zeros((2, 3)),
+            marginals=(np.array([0.25, 0.75]), np.array([0.125, 0.375, 0.5])),
+        )
+        system = ConstraintSystem(problem)
+        assert np.array_equal(
+            system.matrix,
+            np.array(
+                [
+                    [1, 1, 1, 0, 0, 0],
+                    [1, 0, 0, 1, 0, 0],
+                    [0, 1, 0, 0, 1, 0],
+                    [1, 1, 1, 1, 1, 1],
+                ],
+                dtype=float,
+            ),
+        )
+        assert np.array_equal(system.rhs, [0.25, 0.125, 0.375, 1.0])
+
+    def test_v_rows_pinned(self):
+        # mode 0 sums at (i_1, i_2) in row-major order, then mode 1 sums at
+        # i_0 = 0, then the mode 2 sum at i_0 = i_1 = 0
+        p, q, r = np.array([0.25, 0.75]), np.array([0.375, 0.625]), np.array([0.125, 0.875])
+        problem = MarginalProblem(cost=np.zeros((2, 2, 2)), marginals=(p, q, r), variant="V")
+        system = ConstraintSystem(problem)
+        assert np.array_equal(
+            system.matrix,
+            np.array(
+                [
+                    [1, 0, 0, 0, 1, 0, 0, 0],
+                    [0, 1, 0, 0, 0, 1, 0, 0],
+                    [0, 0, 1, 0, 0, 0, 1, 0],
+                    [0, 0, 0, 1, 0, 0, 0, 1],
+                    [1, 0, 1, 0, 0, 0, 0, 0],
+                    [0, 1, 0, 1, 0, 0, 0, 0],
+                    [1, 1, 0, 0, 0, 0, 0, 0],
+                ],
+                dtype=float,
+            ),
+        )
+        assert np.array_equal(
+            system.rhs,
+            [q[0] * r[0], q[0] * r[1], q[1] * r[0], q[1] * r[1], p[0] * r[0], p[0] * r[1], p[0] * q[0]],
+        )
 
     def test_start_point_satisfies_system(self):
         for variant in ("U", "V"):
