@@ -107,6 +107,8 @@ class MarginalProblem:
 # (7 625) 59/79, U 8x8x8 (11 264) 45/143; V 6x6x5 (14 400) 117/114, U 20x20
 # (15 600) 117/92, V 6x6x6 (19 656) 180/129, U 24x24 (27 072) 209/109.  U
 # with three modes favours dense rows further up (9x9x9, 18 225: 84/156).
+# The cut rests on these micro-timings alone: no benchmark workload lies
+# between m*N = 2 368 (small-batch, V 4x4x4) and 19 656 (v3-dense, V 6x6x6).
 _DENSE_CROSSOVER = 12_000
 
 
