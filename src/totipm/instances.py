@@ -151,7 +151,11 @@ def parse_instance(text: str) -> MarginalProblem:
 
 def load_instance(path) -> MarginalProblem:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError("document", f"not valid UTF-8 ({exc})") from exc
+    return parse_instance(text)
 
 
 def emit_instance(problem: MarginalProblem) -> str:

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .polytope import ConstraintSystem, MarginalProblem, start_point
+from .polytope import MarginalProblem, start_point
 
 __all__ = [
     "SolverConfig",
@@ -179,7 +179,8 @@ class _NewtonWorkspace:
 
     def __init__(self, problem: MarginalProblem):
         self.cost = problem.cost.ravel()
-        self.op = ConstraintSystem(problem)
+        # the problem's own ConstraintSystem: its tables outlive the workspace
+        self.op = problem.constraints
         self.rhs = self.op.rhs
         # (etas, multipliers) of the last Cholesky solve; multipliers are
         # affine in eta at a fixed iterate, so two columns extrapolate

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytope import ConstraintSystem, MarginalProblem
+from .polytope import MarginalProblem
 
 __all__ = [
     "StandardFormLP",
@@ -63,7 +63,7 @@ class DualCertificate:
 
 
 def to_lp(problem: MarginalProblem) -> StandardFormLP:
-    system = ConstraintSystem(problem)
+    system = problem.constraints
     return StandardFormLP(
         a=system.matrix,
         b=system.rhs,
@@ -206,7 +206,7 @@ def dual_certificate(problem: MarginalProblem, result: SimplexResult) -> DualCer
         raise ValueError("dual certificates are defined for the marginal variant only")
     # a row that fixes mode k at i carries phi_k[i]; the row that fixes no
     # mode carries the total
-    pattern = ConstraintSystem(problem).pattern
+    pattern = problem.constraints.pattern
     potentials = []
     for k, n in enumerate(problem.dims):
         rows = pattern[:, k] >= 0

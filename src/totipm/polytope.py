@@ -97,6 +97,13 @@ class MarginalProblem:
     def size(self) -> int:
         return self.cost.size
 
+    @functools.cached_property
+    def constraints(self) -> "ConstraintSystem":
+        """The problem's ConstraintSystem, built on first use and shared by
+        every Newton workspace of the problem and by the LP oracle, so its
+        row table, dense rows and reduction tables are built once."""
+        return ConstraintSystem(self)
+
 
 # ConstraintSystem multiplies by its dense rows while m * N (rows times
 # tensor entries) is at most this, and by reductions above it, where a few
@@ -215,6 +222,9 @@ class ConstraintSystem:
         for j, p in enumerate(problem.marginals):
             at = self.pattern[:, j]
             self.rhs = self.rhs * np.where(at >= 0, p[at], 1.0)
+        # shared through MarginalProblem.constraints: nobody may write them
+        self.pattern.flags.writeable = False
+        self.rhs.flags.writeable = False
         self._dense = self.n_rows * problem.size <= _DENSE_CROSSOVER
 
     @property
@@ -226,7 +236,9 @@ class ConstraintSystem:
         """The dense m x N 0/1 rows."""
         modes = np.indices(self.dims).reshape(len(self.dims), 1, -1)
         table = self.pattern.T[:, :, None]
-        return np.all((table < 0) | (table == modes), axis=0).astype(np.float64)
+        rows = np.all((table < 0) | (table == modes), axis=0).astype(np.float64)
+        rows.flags.writeable = False
+        return rows
 
     @functools.cached_property
     def _row_sums(self) -> tuple:
@@ -362,7 +374,7 @@ def null_basis(problem: MarginalProblem) -> list:
         gs = _difference_vectors(dims[0])
         hs = _difference_vectors(dims[1])
         return [outer([g, h]) for g in gs for h in hs]
-    a = ConstraintSystem(problem).matrix
+    a = problem.constraints.matrix
     kernel = scipy.linalg.null_space(a)
     expected = null_space_dim(problem)
     if kernel.shape[1] != expected:

@@ -1,5 +1,5 @@
-"""The acceptance-criterion result lines and the instance streams that
-criteria 1 and 2 share with the solver tests.
+"""The acceptance-criterion result lines and the instance streams of the
+criteria; criteria 1 and 2 share theirs with the solver tests.
 
 These live here, not in ``conftest.py``, so that the test modules can
 import them by a name no other test directory uses.
@@ -38,3 +38,28 @@ def criterion_02_problems(seed=20241):
         kind = "uniform" if trial % 4 < 2 else "random"
         problems.append(random_instance(dims, "V", rng, kind))
     return problems
+
+
+def criterion_04_problems(seed=20242):
+    """The 8 instances of acceptance criterion 4: shapes 3x3 then 2x2x2,
+    each as U then V, each with uniform then random marginals."""
+    rng = SplitMix64(seed)
+    return [
+        random_instance(dims, variant, rng, kind)
+        for dims in ((3, 3), (2, 2, 2))
+        for variant in ("U", "V")
+        for kind in ("uniform", "random")
+    ]
+
+
+def criterion_08_problems(seed=20243):
+    """The 20 variant-U instances of acceptance criterion 8: 3x3 and 2x2x2
+    alternating, marginals uniform, uniform, random, random, and so on."""
+    rng = SplitMix64(seed)
+    return [
+        random_instance(
+            (3, 3) if trial % 2 == 0 else (2, 2, 2), "U", rng,
+            "uniform" if trial % 4 < 2 else "random",
+        )
+        for trial in range(20)
+    ]

@@ -61,6 +61,14 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "cost" in err or "marginals" in err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        assert cli.main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance field 'document': not valid UTF-8")
+        assert "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys):
         assert cli.main(["solve", "/nonexistent/x.json"]) == 2
 

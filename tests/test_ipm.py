@@ -131,6 +131,34 @@ class TestNewtonDirection:
         with pytest.raises(ValueError):
             newton_direction(problem, start_point(problem), eta=-1.0)
 
+    def test_tables_built_once_per_problem(self, monkeypatch):
+        # newton_direction reuses the problem's ConstraintSystem: a second
+        # call builds neither the row table nor the reduction tables again,
+        # and each call gives the bytes a fresh problem gives
+        built = []
+        for name in ("_row_table", "_sum_layout"):
+            def counted(*args, _name=name, _build=getattr(polytope, name), **kwargs):
+                built.append(_name)
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(polytope, name, counted)
+        monkeypatch.setattr(polytope, "_DENSE_CROSSOVER", -1)
+        rng = np.random.default_rng(71)
+        for variant in ("U", "V"):
+            problem = random_problem((3, 4, 2), rng, variant)
+
+            def twin():
+                return MarginalProblem(cost=problem.cost, marginals=problem.marginals, variant=variant)
+
+            u = random_interior_point(twin(), rng)
+            built.clear()
+            results = [newton_direction(problem, u, eta) for eta in (2.0, 5.0)]
+            assert built == ["_row_table", "_sum_layout", "_sum_layout"]
+            for eta, (delta, dec) in zip((2.0, 5.0), results):
+                ref_delta, ref_dec = newton_direction(twin(), u, eta)
+                assert delta.tobytes() == ref_delta.tobytes()
+                assert dec == ref_dec
+
 
 # criterion-1 trials whose eps 1e-8 paths end at a degenerate vertex, where
 # the normal matrix loses rank: without the QR tail they fail
@@ -173,6 +201,8 @@ def eps8_solves(problems, trials, by_reductions=False):
             report = short_step_solve(
                 problems[trial], SolverConfig(epsilon=1e-8), observer=states.append
             )
+            # the problem's one ConstraintSystem was built under the patch
+            assert problems[trial].constraints._dense == (not by_reductions)
             paths[trial] = (problems[trial], report, states, len(entries))
             entries.clear()
     return paths

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
+
+from streams import criterion_01_problems, criterion_02_problems
 
 from totipm.oracle import (
     DualCertificate,
@@ -197,3 +200,17 @@ class TestMetricCost:
                 result = solve_lp(problem)
                 assert result.value == pytest.approx(0.0, abs=1e-9)
                 assert result.x.reshape(n, n) == pytest.approx(np.diag(p), abs=1e-9)
+
+
+class TestHighsAgreement:
+    def test_highs_matches_simplex_on_criterion_streams(self):
+        # a second, independent oracle: HiGHS on the same standard-form LP
+        problems = criterion_01_problems() + criterion_02_problems()
+        assert len(problems) == 70
+        for problem in problems:
+            lp = to_lp(problem)
+            result = scipy.optimize.linprog(
+                lp.c, A_eq=lp.a, b_eq=lp.b, bounds=(0, None), method="highs"
+            )
+            assert result.status == 0
+            assert abs(result.fun - solve_lp(problem).value) <= 1e-12
