@@ -4,120 +4,46 @@ The solver minimizes <C, U> over nonnegative d-mode tensors whose mode
 marginals (variant "U") or mode sums (variant "V") are prescribed, following
 the log-barrier central path with one Newton step per parameter increase.
 A dense Bland-rule simplex serves as an independent ground-truth oracle.
+
+The package re-exports the solve path; every other name is imported from
+its submodule (``totipm.polytope``, ``totipm.barrier``, ``totipm.oracle``,
+``totipm.verify`` and so on).
 """
 
-from .barrier import (
-    BarrierEval,
-    CertificateError,
-    ConcordanceSample,
-    check_self_concordance,
-    complexity_value,
-    directional_forms,
-    eval_barrier,
-    pseudo_quadratic,
-)
 from .instances import (
     InstanceFormatError,
     SplitMix64,
-    emit_instance,
     emit_report,
     load_instance,
     parse_instance,
     random_instance,
-    save_instance,
 )
 from .ipm import (
-    DEFAULT_C0,
     NonConvergenceError,
-    PathState,
     SolveReport,
     SolverConfig,
     SolverError,
     StepSizeViolationError,
-    TraceRow,
-    center,
-    classify_weak_uniform,
-    newton_direction,
-    predicted_iterations,
     short_step_solve,
 )
-from .oracle import (
-    DualCertificate,
-    SimplexResult,
-    StandardFormLP,
-    dual_certificate,
-    dual_feasible,
-    dual_value,
-    simplex_solve,
-    solve_lp,
-    to_lp,
-)
-from .polytope import (
-    ConstraintSystem,
-    MarginalProblem,
-    centering_project,
-    feasible,
-    null_basis,
-    null_basis_matrix,
-    null_space_dim,
-    random_interior_point,
-    residual,
-    residual_norm,
-    start_point,
-    sym_lower_bound,
-)
+from .oracle import solve_lp
+from .polytope import MarginalProblem
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MarginalProblem",
-    "ConstraintSystem",
-    "start_point",
-    "residual",
-    "residual_norm",
-    "null_basis",
-    "null_basis_matrix",
-    "null_space_dim",
-    "sym_lower_bound",
-    "feasible",
-    "centering_project",
-    "random_interior_point",
-    "BarrierEval",
-    "ConcordanceSample",
-    "CertificateError",
-    "eval_barrier",
-    "directional_forms",
-    "check_self_concordance",
-    "pseudo_quadratic",
-    "complexity_value",
     "SolverConfig",
-    "PathState",
-    "TraceRow",
     "SolveReport",
     "SolverError",
     "NonConvergenceError",
     "StepSizeViolationError",
-    "newton_direction",
-    "center",
     "short_step_solve",
-    "predicted_iterations",
-    "classify_weak_uniform",
-    "DEFAULT_C0",
-    "StandardFormLP",
-    "SimplexResult",
-    "DualCertificate",
-    "to_lp",
-    "simplex_solve",
     "solve_lp",
-    "dual_certificate",
-    "dual_feasible",
-    "dual_value",
     "InstanceFormatError",
     "SplitMix64",
     "parse_instance",
     "load_instance",
-    "emit_instance",
-    "save_instance",
     "random_instance",
     "emit_report",
     "__version__",

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .tensor import inner
-
 __all__ = [
-    "BarrierEval",
     "ConcordanceSample",
     "CertificateError",
-    "eval_barrier",
     "directional_forms",
     "check_self_concordance",
     "pseudo_quadratic",
@@ -35,34 +31,12 @@ class CertificateError(ValueError):
 
 
 @dataclass(frozen=True)
-class BarrierEval:
-    """Value, gradient and diagonal Hessian of the barrier at one point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian_diag: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConcordanceSample:
     """Second and third directional derivatives of the barrier at a point
     along a direction, as used by the self-concordance inequality."""
 
     second: float
     third: float
-
-
-def eval_barrier(u) -> BarrierEval:
-    u = np.asarray(u, dtype=np.float64)
-    if u.size == 0:
-        raise ValueError("barrier is undefined on an empty tensor")
-    if np.any(u <= 0.0):
-        raise ValueError("barrier requires strictly positive entries")
-    return BarrierEval(
-        value=float(-np.log(u).sum()),
-        gradient=-1.0 / u,
-        hessian_diag=1.0 / u**2,
-    )
 
 
 def directional_forms(u, v) -> ConcordanceSample:
@@ -81,18 +55,16 @@ def directional_forms(u, v) -> ConcordanceSample:
     )
 
 
-def check_self_concordance(sample: ConcordanceSample, a: float = 1.0):
-    """Slack of |third| <= 2 a^{-1/2} second^{3/2} and whether it holds.
+def check_self_concordance(sample: ConcordanceSample):
+    """Slack of |third| <= 2 second^{3/2} and whether it holds.
 
     Returns ``(ok, slack)`` with slack = bound - |third|; ok tolerates
-    rounding down to -1e-12.  The log barrier satisfies the inequality with
-    a = 1, and with equality along single-coordinate directions.
+    rounding down to -1e-12.  The log barrier satisfies the inequality, with
+    equality along single-coordinate directions.
     """
-    if a <= 0.0:
-        raise ValueError("concordance parameter a must be positive")
     if sample.second < 0.0:
         raise ValueError("second directional derivative cannot be negative")
-    slack = 2.0 / np.sqrt(a) * sample.second**1.5 - abs(sample.third)
+    slack = 2.0 * sample.second**1.5 - abs(sample.third)
     return slack >= -1e-12, float(slack)
 
 

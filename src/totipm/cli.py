@@ -74,12 +74,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(text: str, out_path) -> None:
-    if out_path:
+def _write_out(text: str, out_path) -> int:
+    """Write ``text`` to ``out_path``, or stdout without one; returns the
+    exit code, 2 when the file cannot be written."""
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _solve_command(args) -> int:
@@ -107,11 +114,10 @@ def _solve_command(args) -> int:
             f"|value - oracle_value| = {abs(report.value - oracle_value)!r}",
             file=sys.stderr,
         )
-    _write_out(
+    return _write_out(
         emit_report(report, oracle_value=oracle_value, include_trace=args.trace),
         args.out,
     )
-    return 0
 
 
 def _benchmark_command(args) -> int:
@@ -165,11 +171,13 @@ def _benchmark_command(args) -> int:
         mean_iters = [float(np.mean(per_size[n])) for n in sizes]
         slope = float(np.polyfit(np.log(sizes), np.log(mean_iters), 1)[0])
         lines.append(f"# loglog_slope d={args.d}: {slope!r}")
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+    return _write_out("\n".join(lines) + "\n", args.out)
 
 
 def _verify_command(args) -> int:
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return 2
     names = ("oracle", "barrier", "nullspace") if args.suite == "all" else (args.suite,)
     rows = run_suites(names, seed=args.seed, instance_paths=tuple(args.instances))
     failed = 0

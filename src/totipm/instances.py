@@ -14,6 +14,7 @@ order is part of the contract and is documented in random_instance.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -88,7 +89,10 @@ def _as_float_list(values, field):
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise InstanceFormatError(field, f"non-numeric entry {v!r}")
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:
+            raise InstanceFormatError(field, "integer entry too large for a float") from None
         if not np.isfinite(v):
             raise InstanceFormatError(field, f"non-finite entry {v!r}")
         out.append(v)
@@ -102,9 +106,11 @@ def parse_instance(text: str) -> MarginalProblem:
     discrepancy is normalized too but draws a stderr warning.  Everything
     else malformed raises InstanceFormatError naming the field.
     """
+    # JSONDecodeError is a ValueError, as is an integer past Python's digit
+    # limit; nesting too deep for the decoder is a RecursionError
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InstanceFormatError("document", f"not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError("document", "top level must be an object")
@@ -113,7 +119,7 @@ def parse_instance(text: str) -> MarginalProblem:
     if not dims or any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in dims):
         raise InstanceFormatError("dims", "must be a nonempty list of positive integers")
     dims = tuple(dims)
-    size = int(np.prod(dims))
+    size = math.prod(dims)
 
     variant = _require(doc, "variant", str)
     if variant not in ("U", "V"):
@@ -198,7 +204,7 @@ def random_instance(dims, variant: str, rng: SplitMix64, marginals: str = "unifo
     return MarginalProblem(cost=cost, marginals=tuple(vectors), variant=variant)
 
 
-def report_to_dict(report, oracle_value=None, timing=None, include_trace=False) -> dict:
+def report_to_dict(report, oracle_value=None, include_trace=False) -> dict:
     """Solve report as a JSON-ready dict with the fixed field order."""
     doc = {
         "value": float(report.value),
@@ -214,12 +220,11 @@ def report_to_dict(report, oracle_value=None, timing=None, include_trace=False) 
         ]
     if oracle_value is not None:
         doc["oracle_value"] = float(oracle_value)
-    doc["timing"] = None if timing is None else float(timing)
+    # always null: the field stays so that the report format does not change
+    doc["timing"] = None
     return doc
 
 
-def emit_report(report, oracle_value=None, timing=None, include_trace=False) -> str:
-    doc = report_to_dict(
-        report, oracle_value=oracle_value, timing=timing, include_trace=include_trace
-    )
+def emit_report(report, oracle_value=None, include_trace=False) -> str:
+    doc = report_to_dict(report, oracle_value=oracle_value, include_trace=include_trace)
     return json.dumps(doc, indent=2) + "\n"

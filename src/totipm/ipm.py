@@ -76,7 +76,6 @@ __all__ = [
     "center",
     "short_step_solve",
     "predicted_iterations",
-    "classify_weak_uniform",
     "DEFAULT_C0",
 ]
 
@@ -415,10 +414,10 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
     )
 
 
-def predicted_iterations(problem: MarginalProblem, epsilon: float, c0: float = DEFAULT_C0) -> float:
+def predicted_iterations(problem: MarginalProblem, epsilon: float) -> float:
     """Iteration bound C0 sqrt(prod n_k) log(sqrt(2) prod n_k / (eps prod_k min_i p_k[i])).
 
-    C0 is an empirical calibration constant (DEFAULT_C0), reported rather
+    C0 = DEFAULT_C0 is an empirical calibration constant, reported rather
     than derived; the sqrt/log shape is what the theory fixes.
     """
     if not epsilon > 0.0:
@@ -427,18 +426,5 @@ def predicted_iterations(problem: MarginalProblem, epsilon: float, c0: float = D
     min_prod = 1.0
     for p in problem.marginals:
         min_prod *= float(p.min())
-    return c0 * math.sqrt(n_prod) * math.log(math.sqrt(2.0) * n_prod / (epsilon * min_prod))
+    return DEFAULT_C0 * math.sqrt(n_prod) * math.log(math.sqrt(2.0) * n_prod / (epsilon * min_prod))
 
-
-def classify_weak_uniform(p, ell: float) -> float:
-    """Largest K with p_j >= K / n^ell for all j and K <= n^{ell-1}:
-    K = min(n^ell min_j p_j, n^{ell-1})."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("p must be a nonempty vector")
-    if np.any(p <= 0.0):
-        raise ValueError("p must be strictly positive")
-    if ell < 1.0:
-        raise ValueError("ell must be at least 1")
-    n = float(p.size)
-    return float(min(n**ell * float(p.min()), n ** (ell - 1.0)))

@@ -2,6 +2,7 @@
 
 Deliberately shares no machinery with the interior point solver beyond the
 constraint assembly, so agreement between the two is meaningful evidence.
+The dual checks take multipliers of the same dense rows, for both variants.
 Clarity over speed: each iteration refreshes the basis matrix and solves it
 densely.  Bland's rule (lowest eligible index for both the entering and the
 leaving variable) guarantees termination without anti-cycling perturbation.
@@ -18,11 +19,9 @@ from .polytope import MarginalProblem
 __all__ = [
     "StandardFormLP",
     "SimplexResult",
-    "DualCertificate",
     "to_lp",
     "simplex_solve",
     "solve_lp",
-    "dual_certificate",
     "dual_feasible",
     "dual_value",
 ]
@@ -51,15 +50,6 @@ class SimplexResult:
     x: np.ndarray
     dual: np.ndarray
     basis: np.ndarray
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """One potential vector per mode plus the total-mass multiplier; the last
-    entry of every potential is pinned to zero by the reduced row choice."""
-
-    potentials: tuple
-    total: float
 
 
 def to_lp(problem: MarginalProblem) -> StandardFormLP:
@@ -199,41 +189,14 @@ def solve_lp(problem: MarginalProblem) -> SimplexResult:
     return result
 
 
-def dual_certificate(problem: MarginalProblem, result: SimplexResult) -> DualCertificate:
-    """Unpack the simplex dual vector of a variant-"U" problem into per-mode
-    potentials (last entry zero) and the total-mass multiplier."""
-    if problem.variant != "U":
-        raise ValueError("dual certificates are defined for the marginal variant only")
-    # a row that fixes mode k at i carries phi_k[i]; the row that fixes no
-    # mode carries the total
-    pattern = problem.constraints.pattern
-    potentials = []
-    for k, n in enumerate(problem.dims):
-        rows = pattern[:, k] >= 0
-        phi = np.zeros(n)
-        phi[pattern[rows, k]] = result.dual[rows]
-        potentials.append(phi)
-    total = float(result.dual[np.all(pattern < 0, axis=1)][0])
-    return DualCertificate(potentials=tuple(potentials), total=total)
-
-
-def dual_feasible(problem: MarginalProblem, cert: DualCertificate, tol: float = 1e-8):
-    """Check cost[i_1..i_d] - sum_k phi_k[i_k] - total >= -tol everywhere.
-    Returns ``(ok, min_slack)``."""
-    slack = problem.cost.astype(np.float64).copy()
-    d = problem.d
-    for k, phi in enumerate(cert.potentials):
-        shape = [1] * d
-        shape[k] = problem.dims[k]
-        slack = slack - np.asarray(phi, dtype=np.float64).reshape(shape)
-    slack = slack - cert.total
+def dual_feasible(problem: MarginalProblem, y, tol: float = 1e-8):
+    """Check c - A^T y >= -tol everywhere for row multipliers ``y`` of
+    ``problem.constraints``.  Returns ``(ok, min_slack)``."""
+    slack = problem.cost.ravel() - problem.constraints.matrix.T @ y
     min_slack = float(slack.min())
     return min_slack >= -tol, min_slack
 
 
-def dual_value(problem: MarginalProblem, cert: DualCertificate) -> float:
-    """sum_k phi_k . p_k + total, the dual objective at the certificate."""
-    total = float(cert.total)
-    for phi, p in zip(cert.potentials, problem.marginals):
-        total += float(np.dot(phi, p))
-    return total
+def dual_value(problem: MarginalProblem, y) -> float:
+    """b . y, the dual objective at row multipliers ``y``."""
+    return float(problem.constraints.rhs @ y)

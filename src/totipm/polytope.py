@@ -34,8 +34,6 @@ __all__ = [
     "null_basis",
     "null_basis_matrix",
     "null_space_dim",
-    "sym_lower_bound",
-    "feasible",
     "centering_project",
     "random_interior_point",
 ]
@@ -393,25 +391,6 @@ def null_basis_matrix(problem: MarginalProblem) -> np.ndarray:
     return np.column_stack([e.ravel() for e in basis])
 
 
-def sym_lower_bound(problem: MarginalProblem) -> float:
-    """Lower bound prod_k(min_i p_k[i]) / sqrt(2) on the symmetry of the
-    start point inside the feasible slice."""
-    prod = 1.0
-    for p in problem.marginals:
-        prod *= float(p.min())
-    return prod / np.sqrt(2.0)
-
-
-def feasible(problem: MarginalProblem, u, tol: float) -> bool:
-    """True iff all entries >= -tol and every residual norm is <= tol."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != problem.dims:
-        raise ValueError(f"expected shape {problem.dims}, got {u.shape}")
-    if float(u.min()) < -tol:
-        return False
-    return residual_norm(problem, u) <= tol
-
-
 def centering_project(u) -> np.ndarray:
     """Orthogonal projection onto the variant-"V" null space: subtract the
     mean along every mode (the Kronecker product of per-mode centerings)."""
@@ -421,11 +400,9 @@ def centering_project(u) -> np.ndarray:
     return out
 
 
-def random_interior_point(problem: MarginalProblem, rng, scale: float = 0.9) -> np.ndarray:
+def random_interior_point(problem: MarginalProblem, rng) -> np.ndarray:
     """A strictly positive feasible point: the start point plus a random
-    null-space direction, scaled to keep a margin from the boundary."""
-    if not 0.0 < scale < 1.0:
-        raise ValueError("scale must lie in (0, 1)")
+    null-space direction, at most 0.9 of the way to the boundary."""
     x = start_point(problem).ravel()
     b = null_basis_matrix(problem)
     if b.shape[1] == 0:
@@ -436,5 +413,5 @@ def random_interior_point(problem: MarginalProblem, rng, scale: float = 0.9) -> 
         alpha = float(np.min(x[neg] / -direction[neg]))
     else:
         alpha = 1.0
-    step = scale * rng.uniform(0.0, 1.0) * alpha
+    step = 0.9 * rng.uniform(0.0, 1.0) * alpha
     return (x + step * direction).reshape(problem.dims)

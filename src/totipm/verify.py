@@ -52,8 +52,8 @@ NullBasisAudit = namedtuple("NullBasisAudit", "count expected dim rank kernel mo
 def path_audit(problems) -> PathAudit:
     """Worst case over the problems, solved at epsilon 1e-6, of |value -
     simplex| and, per trace row, of the decrement, residual, entry and gap
-    excess <c, u> - theta / eta - simplex; "U" adds the simplex dual's
-    slack and gap (else inf, -inf)."""
+    excess <c, u> - theta / eta - simplex; and the simplex dual's smallest
+    slack and its gap to the simplex value."""
     audits = []
     for problem in problems:
         theta = float(problem.size)
@@ -70,14 +70,11 @@ def path_audit(problems) -> PathAudit:
         report = short_step_solve(problem, SolverConfig(epsilon=1e-6), observer=watch)
         lp = oracle.solve_lp(problem)
         decrements, residuals, entries, excesses = zip(*rows)
-        slack, dual_gap = math.inf, -math.inf
-        if problem.variant == "U":
-            cert = oracle.dual_certificate(problem, lp)
-            _, slack = oracle.dual_feasible(problem, cert)
-            dual_gap = abs(oracle.dual_value(problem, cert) - lp.value)
+        _, slack = oracle.dual_feasible(problem, lp.dual)
         audits.append(PathAudit(
             1, abs(report.value - lp.value), max(decrements), max(residuals),
-            min(entries), max(excesses) - lp.value, slack, dual_gap,
+            min(entries), max(excesses) - lp.value, slack,
+            abs(oracle.dual_value(problem, lp.dual) - lp.value),
         ))
     return worst_path(audits)
 
@@ -205,19 +202,15 @@ def null_basis_structure(dims, variant: str) -> NullBasisAudit:
 
 def _path_checks(name, problem) -> list:
     audit = path_audit([problem])
-    checks = [
+    return [
         (f"{name}:value", audit.value_gap <= 1e-6, f"|ipm - simplex| = {audit.value_gap!r}"),
         (f"{name}:trace", audit.max_decrement <= 0.25 and audit.max_gap_excess <= 1e-8,
          f"max decrement = {audit.max_decrement!r}, max gap excess = {audit.max_gap_excess!r}"),
         (f"{name}:feasibility", audit.max_residual <= 1e-8 and audit.min_entry > 0.0,
          f"max residual = {audit.max_residual!r}, min entry = {audit.min_entry!r}"),
+        (f"{name}:duality", audit.min_dual_slack >= -1e-8 and audit.duality_gap <= 1e-8,
+         f"min dual slack = {audit.min_dual_slack!r}, duality gap = {audit.duality_gap!r}"),
     ]
-    if problem.variant == "U":
-        checks.append(
-            (f"{name}:duality", audit.min_dual_slack >= -1e-8 and audit.duality_gap <= 1e-8,
-             f"min dual slack = {audit.min_dual_slack!r}, duality gap = {audit.duality_gap!r}")
-        )
-    return checks
 
 
 def oracle_suite(seed: int = DEFAULT_SEED, instance_paths=()) -> list:

@@ -6,7 +6,6 @@ from totipm.barrier import (
     check_self_concordance,
     complexity_value,
     directional_forms,
-    eval_barrier,
     pseudo_quadratic,
 )
 from totipm.polytope import (
@@ -19,20 +18,6 @@ from totipm.polytope import (
 
 def sigma(u):
     return float(-np.log(u).sum())
-
-
-def fd_gradient(u, h_scale=1e-5):
-    grad = np.zeros_like(u)
-    flat = u.ravel()
-    out = grad.ravel()
-    for i in range(flat.size):
-        h = h_scale * (abs(flat[i]) + 1.0)
-        up = flat.copy()
-        dn = flat.copy()
-        up[i] += h
-        dn[i] -= h
-        out[i] = (sigma(up) - sigma(dn)) / (2.0 * h)
-    return grad
 
 
 def fd_third_form(u, v, h=1e-3):
@@ -49,37 +34,6 @@ def uniform_problem(dims, variant="U"):
         marginals=tuple(np.full(n, 1.0 / n) for n in dims),
         variant=variant,
     )
-
-
-class TestEvalBarrier:
-    def test_all_ones(self):
-        ev = eval_barrier(np.ones((2, 2)))
-        assert ev.value == 0.0
-        assert np.array_equal(ev.gradient, -np.ones((2, 2)))
-        assert np.array_equal(ev.hessian_diag, np.ones((2, 2)))
-
-    def test_quarter_matrix(self):
-        ev = eval_barrier(np.full((2, 2), 0.25))
-        assert ev.value == pytest.approx(5.545177444479562, abs=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            eval_barrier(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            eval_barrier(np.array([1.0, -2.0]))
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(31)
-        u = rng.uniform(0.2, 2.0, size=(2, 3))
-        ev = eval_barrier(u)
-        ref = fd_gradient(u)
-        assert np.abs((ev.gradient - ref) / ref).max() <= 1e-6
-
-    def test_gradient_times_point(self):
-        rng = np.random.default_rng(32)
-        u = rng.uniform(0.1, 3.0, size=(3, 3))
-        ev = eval_barrier(u)
-        assert np.abs(ev.gradient * u + 1.0).max() <= 1e-12
 
 
 class TestDirectionalForms:
@@ -127,18 +81,6 @@ class TestSelfConcordance:
             ok, slack = check_self_concordance(directional_forms(u, v))
             assert ok
             assert abs(slack) <= 1e-12
-
-    def test_a4_can_fail(self):
-        # with a=4 the bound halves, so a single-coordinate direction breaks it
-        sample = directional_forms(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-        ok, slack = check_self_concordance(sample, a=4.0)
-        assert not ok
-        assert slack < 0.0
-
-    def test_rejects_bad_a(self):
-        sample = directional_forms(np.ones(2), np.ones(2))
-        with pytest.raises(ValueError):
-            check_self_concordance(sample, a=0.0)
 
 
 class TestPseudoQuadratic:

@@ -72,6 +72,35 @@ class TestSolveCommand:
     def test_missing_file_exits_2(self, capsys):
         assert cli.main(["solve", "/nonexistent/x.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            # an integer cost too large for a float
+            ('{"dims": [2, 2], "variant": "U", "cost": [1' + "0" * 400
+             + ', 0, 0, 0], "marginals": [[0.5, 0.5], [0.5, 0.5]]}', "cost"),
+            # 2^64 entries, which wraps to 0 in int64
+            ('{"dims": [4294967296, 4294967296], "variant": "U", "cost": [], '
+             '"marginals": [[1.0], [1.0]]}', "cost"),
+            # past Python's digit limit for int parsing
+            ('{"dims": [' + "9" * 5000 + "]}", "document"),
+            # nested deeper than the decoder recurses
+            ("[" * 100_000 + "]" * 100_000, "document"),
+        ],
+        ids=["huge-integer", "overflowing-dims", "digit-limit", "deep-nesting"],
+    )
+    def test_unrepresentable_instance_exits_2(self, tmp_path, capsys, document, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        assert cli.main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: instance field {field!r}")
+        assert "Traceback" not in err
+
+    def test_unwritable_out_exits_2(self, matching_instance, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert cli.main(["solve", matching_instance, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_config_exits_2(self, matching_instance, capsys):
         assert cli.main(["solve", matching_instance, "--gamma", "0.5"]) == 2
 
@@ -143,6 +172,11 @@ class TestBenchmarkCommand:
     def test_rejects_small_sizes(self, capsys):
         assert cli.main(["benchmark", "--sizes", "1", "4"]) == 2
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "table.csv"
+        assert cli.main(["benchmark", "--trials", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_nan_epsilon_exits_2(self, capsys):
         assert cli.main(["benchmark", "--sizes", "3", "--epsilon", "nan"]) == 2
         assert "epsilon must be positive" in capsys.readouterr().err
@@ -170,6 +204,10 @@ class TestVerifyCommand:
         assert rc == 1
         out = capsys.readouterr().out
         assert "[FAIL] oracle:" in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.main(["verify", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be nonnegative\n"
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -220,9 +220,8 @@ class TestReportSerialization:
 
     def test_optional_fields(self):
         report = self.make_report()
-        doc = report_to_dict(report, oracle_value=0.0, timing=1.5, include_trace=True)
+        doc = report_to_dict(report, oracle_value=0.0, include_trace=True)
         assert doc["oracle_value"] == 0.0
-        assert doc["timing"] == 1.5
         assert len(doc["trace"]) == len(report.trace)
         assert all(len(row) == 4 for row in doc["trace"])
 

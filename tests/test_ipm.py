@@ -12,7 +12,6 @@ from totipm.ipm import (
     SolverConfig,
     SolverError,
     center,
-    classify_weak_uniform,
     newton_direction,
     predicted_iterations,
     short_step_solve,
@@ -476,9 +475,9 @@ class TestShortStepSolve:
 class TestPredictedIterations:
     def test_frozen_reference_value(self):
         # sqrt(16) * ln(sqrt(2)*16 / (1e-3 * 1/16)) evaluated independently
-        # with 40-digit decimal arithmetic
+        # with 40-digit decimal arithmetic; C0 = 16 divides out exactly
         problem = uniform_problem((4, 4))
-        assert predicted_iterations(problem, 1e-3, c0=1.0) == pytest.approx(
+        assert predicted_iterations(problem, 1e-3) / DEFAULT_C0 == pytest.approx(
             51.19802525496669, abs=1e-10
         )
 
@@ -509,23 +508,3 @@ class TestPredictedIterations:
     def test_rejects_nan_epsilon(self):
         with pytest.raises(ValueError):
             predicted_iterations(uniform_problem((2, 2)), float("nan"))
-
-
-class TestClassifyWeakUniform:
-    def test_uniform_is_one(self):
-        for n in (2, 5, 9):
-            assert classify_weak_uniform(np.full(n, 1.0 / n), 1.0) == pytest.approx(1.0)
-
-    def test_skewed_ell1(self):
-        assert classify_weak_uniform(np.array([0.5, 0.25, 0.25]), 1.0) == pytest.approx(
-            0.75
-        )
-
-    def test_skewed_ell2(self):
-        assert classify_weak_uniform(np.array([0.9, 0.1]), 2.0) == pytest.approx(0.4)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            classify_weak_uniform(np.array([0.5, -0.5]), 1.0)
-        with pytest.raises(ValueError):
-            classify_weak_uniform(np.array([0.5, 0.5]), 0.5)

@@ -7,9 +7,7 @@ import scipy.optimize
 from streams import criterion_01_problems, criterion_02_problems
 
 from totipm.oracle import (
-    DualCertificate,
     StandardFormLP,
-    dual_certificate,
     dual_feasible,
     dual_value,
     simplex_solve,
@@ -151,39 +149,34 @@ class TestSimplexStatuses:
 class TestDuality:
     def test_strong_duality_and_feasibility(self):
         rng = np.random.default_rng(55)
-        for dims in [(3, 3), (4, 3), (2, 2, 2)]:
+        shapes = [
+            ((3, 3), "U"), ((4, 3), "U"), ((2, 2, 2), "U"),
+            ((3, 3), "V"), ((2, 2, 2), "V"), ((3, 2, 2), "V"),
+        ]
+        for dims, variant in shapes:
             for _ in range(4):
-                problem = random_problem(dims, rng)
+                problem = random_problem(dims, rng, variant)
                 result = solve_lp(problem)
-                cert = dual_certificate(problem, result)
-                ok, min_slack = dual_feasible(problem, cert, tol=1e-9)
+                ok, min_slack = dual_feasible(problem, result.dual, tol=1e-9)
                 assert ok
                 assert min_slack >= -1e-9
-                assert dual_value(problem, cert) == pytest.approx(
+                assert dual_value(problem, result.dual) == pytest.approx(
                     result.value, abs=1e-9
                 )
 
     def test_zero_potentials(self):
         problem = uniform_problem((2, 2), [[0.0, 1.0], [1.0, 0.0]])
-        cert = DualCertificate(potentials=(np.zeros(2), np.zeros(2)), total=0.0)
-        ok, _ = dual_feasible(problem, cert)
+        y = np.zeros(problem.constraints.n_rows)
+        ok, _ = dual_feasible(problem, y)
         assert ok
-        assert dual_value(problem, cert) == 0.0
+        assert dual_value(problem, y) == 0.0
 
     def test_inflated_potential_infeasible(self):
         problem = uniform_problem((2, 2), [[0.0, 1.0], [1.0, 0.0]])
-        cert = DualCertificate(
-            potentials=(np.array([1.0, 1.0]), np.zeros(2)), total=0.0
-        )
-        ok, min_slack = dual_feasible(problem, cert)
+        y = np.where(problem.constraints.pattern[:, 0] >= 0, 1.0, 0.0)
+        ok, min_slack = dual_feasible(problem, y)
         assert not ok
         assert min_slack < 0.0
-
-    def test_v_variant_rejected(self):
-        problem = uniform_problem((2, 2), np.zeros((2, 2)), variant="V")
-        result = solve_lp(problem)
-        with pytest.raises(ValueError):
-            dual_certificate(problem, result)
 
 
 class TestMetricCost:
