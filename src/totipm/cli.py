@@ -8,6 +8,8 @@ off by default for exactly this reason; opt in with --timing wall).
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 import time
 
@@ -28,7 +30,11 @@ __all__ = ["main"]
 
 _CSV_HEADER = "d,n,trial,iterations,predicted_bound,value,oracle_value,seconds"
 
+# largest instance (n**d entries) the benchmark command will generate
+_MAX_BENCHMARK_ENTRIES = 1_000_000
 
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="totipm",
@@ -39,7 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("instance", help="path to a JSON instance")
     solve.add_argument("--epsilon", type=float, default=1e-6, help="target precision")
-    solve.add_argument("--gamma", type=float, default=1.0 / 16.0, help="path growth parameter")
+    solve.add_argument(
+        "--gamma", type=float, default=1.0 / 16.0,
+        help="minimum path growth: eta grows by at least 1 + gamma/sqrt(theta) per step",
+    )
     solve.add_argument("--beta", type=float, default=0.25, help="centering proximity bound")
     solve.add_argument("--trace", action="store_true", help="include the iteration trace")
     solve.add_argument("--oracle", action="store_true", help="also run the simplex oracle")
@@ -47,7 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("benchmark", help="iteration-count scaling table")
     bench.add_argument("--d", type=int, default=2, help="number of modes")
-    bench.add_argument("--sizes", type=int, nargs="+", default=[4, 8, 16], help="mode sizes n")
+    bench.add_argument(
+        "--sizes", type=int, nargs="+", default=[4, 8, 16],
+        help=f"mode sizes n, with n**d at most {_MAX_BENCHMARK_ENTRIES}",
+    )
     bench.add_argument("--epsilon", type=float, default=1e-4)
     bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     bench.add_argument("--trials", type=int, default=3, help="instances per size")
@@ -129,6 +141,9 @@ def _benchmark_command(args) -> int:
         return 2
     if any(n < 2 for n in args.sizes):
         print("error: all sizes must be at least 2", file=sys.stderr)
+        return 2
+    if any(math.prod((n,) * args.d) > _MAX_BENCHMARK_ENTRIES for n in args.sizes):
+        print(f"error: n**d must be at most {_MAX_BENCHMARK_ENTRIES}", file=sys.stderr)
         return 2
 
     # all instances are drawn from one stream before any solve starts, so the

@@ -192,7 +192,7 @@ def random_instance(dims, variant: str, rng: SplitMix64, marginals: str = "unifo
     dims = tuple(int(n) for n in dims)
     if marginals not in ("uniform", "random"):
         raise ValueError(f'marginals must be "uniform" or "random", got {marginals!r}')
-    size = int(np.prod(dims))
+    size = math.prod(dims)
     cost = np.array([float(rng.next_int(10)) for _ in range(size)]).reshape(dims)
     vectors = []
     for n in dims:
@@ -225,6 +225,25 @@ def report_to_dict(report, oracle_value=None, include_trace=False) -> dict:
     return doc
 
 
+def _json_number(x: float) -> str:
+    # json's spelling of a float: its repr, or NaN / Infinity / -Infinity
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
 def emit_report(report, oracle_value=None, include_trace=False) -> str:
+    """The text of json.dumps(report_to_dict(...), indent=2) plus a newline.
+
+    The trace rows, most of the text, are written out directly: the
+    indenting encoder is pure Python, and took three times as long."""
     doc = report_to_dict(report, oracle_value=oracle_value, include_trace=include_trace)
-    return json.dumps(doc, indent=2) + "\n"
+    fields = []
+    for key, value in doc.items():
+        if key == "trace" and value:
+            rows = ",\n".join(
+                "    [\n      " + ",\n      ".join(map(_json_number, row)) + "\n    ]"
+                for row in value
+            )
+            fields.append(f'  "trace": [\n{rows}\n  ]')
+        else:
+            fields.append(f"  {json.dumps(key)}: {json.dumps(value)}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"

@@ -2,10 +2,24 @@
 
 Minimizes f_eta(u) = eta <c, u> + sigma(u), sigma the log barrier, over the
 affine slice of a marginal problem.  Phase I centers at eta = 1 starting
-from the product of the marginals; Phase II grows eta by the fixed factor
-(1 + gamma / sqrt(theta)) and restores proximity with a single Newton step,
-keeping the decrement at or below beta.  It stops once theta / eta <= epsilon,
-at which point the objective is within epsilon of the optimum.
+from the product of the marginals; Phase II raises eta and restores
+proximity with a single Newton step, keeping the decrement at or below beta.
+It stops once theta / eta <= epsilon, at which point the objective is within
+epsilon of the optimum.
+
+Each Phase II step picks its eta from the factor at the current iterate.
+The scaled step w (below) is affine in eta, so the decrement squared is a
+quadratic in eta, whose coefficients come from the Gram matrix of w at eta
+and at eta * (1 + gamma / sqrt(theta)).  The step goes to the largest eta at
+which the decrement is sqrt(beta) / (1 + sqrt(beta)), 1/3 at beta = 1/4: a
+full Newton step from there lands at decrement (1/3 / (1 - 1/3))^2 = beta
+at most (Nesterov & Nemirovskii 1994; Renegar 2001, ch. 2).  It is never
+shorter than the paper's short step, the factor (1 + gamma / sqrt(theta)),
+the worst case of the same bound; it never goes past theta / epsilon, nor
+past 1e4 times the short step's eta increment (_MAX_EXTRAPOLATION).  Over
+the 70 criterion-1/2 instances at epsilon 1e-8 the median step is 7-11
+times that increment, and the solves take 12 168 steps in all, against
+99 801 with the short step alone.
 
 The Newton system uses the diagonal barrier Hessian.  Written in the scaled
 step w = delta / u, the step is w = diag(u) A^T y - dg with dg = eta*u*c - 1,
@@ -19,20 +33,21 @@ row fixes (the first n_k - 1 marginal rows of every mode and the total for
 its dense 0/1 rows; above a size crossover it never forms them, applying A
 as partial sums, A^T as broadcast sums, and gathering M = A diag(u^2) A^T
 from the sums of u^2 over the modes each pair of rows leaves free.  LAPACK
-potrf factors M once per iterate, and both Phase II solves (the trace
-decrement at eta and the next direction at eta * growth) share that factor
-as two right-hand sides.  Squaring the condition number this way is made
-safe by two measures:
+potrf factors M once per iterate, and both Phase II solves (at eta, for the
+trace decrement, and at eta * growth) share that factor as two right-hand
+sides; the line through them gives the step at the chosen eta.  Squaring
+the condition number this way is made safe by two measures:
 
 * warm start: the first solve is for the correction to the previous
   iterate's multipliers, extrapolated in eta (at a fixed iterate y is affine
-  in eta), on the residual of the w they give.  Short steps move u little,
-  so the correction and its rounding error are small, where a solve from
+  in eta), on the residual of the w they give.  A step moves u by a scaled
+  norm of 1/3 at most, so the correction and its rounding error are small,
+  where a solve from
   y = 0 carries an error relative to |y|, which grows like eta;
 * corrected seminormal equations (CSNE, Bjorck 1987): the next solve is on
   the residual recomputed from the vector w itself, and it is repeated
   while it still moves w by more than 1e-9 in norm.  Along a path one step
-  nearly always suffices (all but 4 of 68 021 solves below); from a cold
+  nearly always suffices (all but 4 of 10 659 solves below); from a cold
   start, as in newton_direction, up to three.
 
 Near a degenerate vertex M truly loses rank.  A solve therefore switches for
@@ -43,14 +58,15 @@ not settled after six steps: pocon can miss the rank loss by many orders
 (2e2 estimated against 7e14 measured at one d = 3 point).  Above the size
 crossover, the dense rows of A are built only then.  The switch is one-way:
 toward the vertex M only gets worse, and retrying Cholesky at every later
-step found it usable for 119 of the 8 778 QR steps after the switch below.
-Measured on the 50 criterion-1 instances at epsilon 1e-8: without the tail
-16 fail, each on a potrf breakdown; with it all certify, QR takes 8 793 of
-76 799 factorizations, and the decrement agrees with the QR one to 1.7e-7
-at 1 295 sampled path points, warm or from a fresh workspace.  On the 20
-criterion-2 (variant V) instances at epsilon 1e-8 all certify, 6 enter the
-tail, QR takes 2 345 of 23 073 factorizations, and the decrement agrees
-with the QR one to 1.9e-7 at 520 sampled path points, warm or fresh.
+step found it usable for 119 of 8 778 QR steps after the switch (measured
+with the fixed short step).  Measured on the 50 criterion-1 instances at
+epsilon 1e-8: without the tail 16 fail; with it all certify, 16 enter the
+tail, QR takes 1 363 of 10 049 factorizations, and the decrement agrees
+with the QR one to 2.3e-7 at 1 393 sampled path points, warm or from a
+fresh workspace.  On the 20 criterion-2 (variant V) instances at epsilon
+1e-8: without the tail 6 fail; with it all certify, 6 enter the tail, QR
+takes 287 of 2 190 factorizations, and the decrement agrees with the QR
+one to 7.9e-8 at 615 sampled path points, warm or fresh.
 """
 
 from __future__ import annotations
@@ -81,21 +97,31 @@ __all__ = [
 
 # calibration constant for the predicted iteration bound; the theory fixes
 # only the sqrt(theta) log(..) shape, not the prefactor.  1/step_gamma = 16
-# dominates the Phase II step count outright (the bound's log term is never
-# smaller than the path's log(theta/epsilon), because min_i p <= 1/n per
-# mode), and measured totals on d=2,3 uniform ladders sit at 11x-13x the
-# C0=1 value, leaving headroom for Phase I centering
+# dominates the Phase II step count outright, since no step is shorter than
+# the short step (the bound's log term is never smaller than the path's
+# log(theta/epsilon), because min_i p <= 1/n per mode).  Measured totals on
+# d=2,3 uniform ladders sat at 11x-13x the C0=1 value with the short step
+# alone and sit at 1.4x-1.9x with the longer steps
 DEFAULT_C0 = 16.0
 
 # entries this small mean the iterate has effectively hit the boundary
 _FLOOR = 1e-300
 
-# hard ceiling on the post-step decrement; with gamma = 1/16 and beta = 1/4
-# the theory keeps it below 0.24, so reaching 1/2 means broken constants
+# hard ceiling on the post-step decrement; the theory keeps it at or below
+# beta <= 1/4 (a short step with gamma = 1/16, or a step from decrement
+# sqrt(beta) / (1 + sqrt(beta))), so reaching 1/2 means broken constants
 _SAFETY_DECREMENT = 0.5
 
 # centering runs full Newton steps until the decrement is this small
 _CENTER_TOL = 1e-10
+
+# a Phase II step extrapolates the scaled steps at eta and eta * growth by at
+# most this factor t.  Each row lands on the slice to rounding, about 1e-16,
+# and the step's residual is t times theirs, so 1e4 keeps it near 1e-12.
+# On the criterion-1/2 streams and the benchmark workloads t never exceeded
+# 2e3; a cost constant on the slice (V 2x2x2) asks for 4e8, and the noise
+# in w1 - w0 then put the last iterate 1.9e-8 off the slice
+_MAX_EXTRAPOLATION = 1e4
 
 # a solve leaves Cholesky for QR, for good, once potrf breaks down, the
 # normal matrix's reciprocal condition estimate drops below _RCOND_FLOOR, or
@@ -210,21 +236,27 @@ class _NewtonWorkspace:
         first, last = old_etas[0], old_etas[-1]
         if first == last:
             return y[[0] * len(etas)]
-        t = np.array([(eta - first) / (last - first) for eta in etas])
-        return y[0] + t[:, None] * (y[-1] - y[0])
+        slope = (y[-1] - y[0]) / (last - first)
+        return np.multiply.outer(np.subtract(etas, first), slope) + y[0]
 
 
-class _CholeskyFactor:
+class _Factor:
+    """A factorization at the iterate u; scaled_steps(etas) gives the scaled
+    steps w = delta / u at each eta, one row each."""
+
+    def direction(self, eta):
+        """(delta, decrement) at eta."""
+        w = self.scaled_steps((eta,))[0]
+        return self.u * w, math.sqrt(w @ w)
+
+
+class _CholeskyFactor(_Factor):
     def __init__(self, ws, u, chol):
         self.ws = ws
         self.u = u
         self.chol = chol
 
-    def direction(self, eta):
-        return self.directions((eta,))[0]
-
-    def directions(self, etas):
-        """(delta, decrement) at each eta, from this one factorization."""
+    def scaled_steps(self, etas):
         ws, u, op = self.ws, self.u, self.ws.op
         dg = np.multiply.outer(etas, u * ws.cost) - 1.0
         # w = diag(u) A^T y - dg with A (u + u w) = b: the step lands on the
@@ -249,12 +281,12 @@ class _CholeskyFactor:
         else:
             # M is closer to singular than its condition estimate says
             ws.start_tail()
-            return ws.prepare(u).directions(etas)
+            return ws.prepare(u).scaled_steps(etas)
         ws.last = (etas, y)
-        return [(u * row, math.sqrt(row @ row)) for row in w]
+        return w
 
 
-class _ProjectionFactor:
+class _ProjectionFactor(_Factor):
     """QR tail: the step read off an orthogonal projection of the scaled
     gradient."""
 
@@ -265,22 +297,17 @@ class _ProjectionFactor:
         self.r = r
         self.infeasibility = ws.rhs - ws.rows @ u
 
-    def direction(self, eta):
-        dg = eta * (self.u * self.ws.cost) - 1.0
-        w = dg - self.q @ (self.q.T @ dg)
+    def scaled_steps(self, etas):
+        q = self.q
+        dg = np.multiply.outer(etas, self.u * self.ws.cost) - 1.0
+        w = dg - (dg @ q) @ q.T
         # near the path the projection cancels almost all of dg; a second
         # pass scrubs the range(Q) remnant the cancellation leaves behind
-        w -= self.q @ (self.q.T @ w)
-        w = self.q @ scipy.linalg.solve_triangular(
-            self.r, self.infeasibility, trans="T"
-        ) - w
-        dec = float(np.linalg.norm(w))
-        if not math.isfinite(dec):
+        w -= (w @ q) @ q.T
+        w = q @ scipy.linalg.solve_triangular(self.r, self.infeasibility, trans="T") - w
+        if not np.isfinite(w).all():
             raise SolverError("constraint rows lost rank at the current iterate")
-        return self.u * w, dec
-
-    def directions(self, etas):
-        return [self.direction(eta) for eta in etas]
+        return w
 
 
 def _check_domain(u):
@@ -346,15 +373,45 @@ def center(problem: MarginalProblem, u0, eta: float, config: SolverConfig | None
     return PathState(eta=float(eta), point=u.reshape(problem.dims), decrement=dec, iteration=steps)
 
 
+def _next_eta(gram, eta, growth, radius, eta_stop):
+    """The next eta and its place t on the line w(t) = w0 + t (w1 - w0) of
+    the scaled steps at eta (t = 0) and eta * growth (t = 1), given their
+    Gram matrix.
+
+    |w(t)|^2 = g00 + 2 t (g01 - g00) + t^2 |w1 - w0|^2; the step goes to
+    its largest t at which that reaches radius^2, never shorter than t = 1,
+    and never past t = _MAX_EXTRAPOLATION or eta_stop unless t = 1 is.
+    """
+    (g00, g01), (_, g11) = gram.tolist()
+    a = g00 - 2.0 * g01 + g11
+    b = g01 - g00
+    c = g00 - radius * radius
+    root = math.sqrt(max(b * b - a * c, 0.0))
+    # the larger root of a t^2 + 2 b t + c, each form free of cancellation
+    if b > 0.0:
+        t = -c / (b + root)
+    elif a > 0.0:
+        t = (root - b) / a
+    else:
+        # w does not move with eta
+        t = math.inf
+    step = eta * (growth - 1.0)
+    nxt = max(eta * growth, min(eta + min(t, _MAX_EXTRAPOLATION) * step, eta_stop))
+    return (nxt - eta) / step, nxt
+
+
 def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = None, observer=None) -> SolveReport:
     """Run the full path-following method and return the solve report.
 
-    The trace holds one row after Phase I centering and one per Phase II
-    step: (eta, decrement, objective, theta/eta), with the decrement measured
-    at the recorded iterate and eta.  ``observer``, if given, is called with
-    the PathState of every trace row.  Raises StepSizeViolationError if a
-    short step leaves the decrement above decrement_beta, and
-    NonConvergenceError if max_iterations runs out.
+    Each Phase II step raises eta by at least the factor
+    (1 + step_gamma / sqrt(theta)), and further while the decrement at the
+    current iterate stays at most sqrt(beta) / (1 + sqrt(beta)) (see the
+    module docstring).  The trace holds one row after Phase I centering and
+    one per Phase II step: (eta, decrement, objective, theta/eta), with the
+    decrement measured at the recorded iterate and eta.  ``observer``, if
+    given, is called with the PathState of every trace row.  Raises
+    StepSizeViolationError if a step leaves the decrement above
+    decrement_beta, and NonConvergenceError if max_iterations runs out.
     """
     config = config or SolverConfig()
     # the barrier's complexity value; the gap bound theta / eta certifies
@@ -372,22 +429,31 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
         observer(PathState(eta=eta, point=u.reshape(problem.dims), decrement=dec, iteration=steps))
 
     growth = 1.0 + config.step_gamma / math.sqrt(theta)
+    # a full Newton step from decrement <= radius lands at decrement <= beta
+    root_beta = math.sqrt(config.decrement_beta)
+    radius = root_beta / (1.0 + root_beta)
+    eta_stop = theta / config.epsilon
 
-    # Phase II: grow eta, take one Newton step, verify proximity.  The
-    # factorization depends on the iterate only, so one factor yields both
-    # the trace decrement at eta and the next step's direction at eta*growth.
-    delta, _ = factor.direction(eta * growth)
+    # Phase II: pick the next eta from the factor at the iterate, take one
+    # Newton step, verify proximity.  The factorization depends on the
+    # iterate only, so one factor yields the scaled steps at eta (the trace
+    # decrement) and at eta*growth, and the line through them the step at
+    # any other eta.
+    w = factor.scaled_steps((eta, eta * growth))
+    gram = w @ w.T
     while theta / eta > config.epsilon:
         if steps >= config.max_iterations:
             raise NonConvergenceError(
                 f"gap bound still {theta / eta!r} after {steps} steps"
             )
-        u = u + delta
+        t, eta = _next_eta(gram, eta, growth, radius, eta_stop)
+        u = u + u * (w[0] + t * (w[1] - w[0]))
         _check_domain(u)
-        eta = eta * growth
         steps += 1
         factor = workspace.prepare(u)
-        (_, dec), (delta, _) = factor.directions((eta, eta * growth))
+        w = factor.scaled_steps((eta, eta * growth))
+        gram = w @ w.T
+        dec = math.sqrt(gram[0, 0])
         if dec > _SAFETY_DECREMENT:
             raise StepSizeViolationError(
                 f"decrement {dec!r} after a short step exceeds the safety bound "

@@ -3,9 +3,11 @@
 Deliberately shares no machinery with the interior point solver beyond the
 constraint assembly, so agreement between the two is meaningful evidence.
 The dual checks take multipliers of the same dense rows, for both variants.
-Clarity over speed: each iteration refreshes the basis matrix and solves it
-densely.  Bland's rule (lowest eligible index for both the entering and the
-leaving variable) guarantees termination without anti-cycling perturbation.
+Clarity over speed: each pivot LU-factors the basis matrix afresh (LAPACK
+getrf) and solves with that one factor for the basic values, the duals and
+the entering column only.  Bland's rule (lowest eligible index for both the
+entering and the leaving variable) guarantees termination without
+anti-cycling perturbation.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .polytope import MarginalProblem
 
@@ -32,6 +35,8 @@ COST_TOL = 1e-9
 RATIO_TOL = 1e-11
 
 _MAX_PIVOTS_FACTOR = 50
+
+_getrf, _getrs = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,13 @@ def to_lp(problem: MarginalProblem) -> StandardFormLP:
 def _pivot_once(a, b, c, basis, allowed):
     """One Bland pivot.  Returns "optimal", "unbounded" or "pivoted"."""
     m, n = a.shape
-    binv_a = np.linalg.solve(a[:, basis], a)
-    xb = np.linalg.solve(a[:, basis], b)
-    y = np.linalg.solve(a[:, basis].T, c[basis])
-    reduced = c - a.T @ y
+    lu, piv, info = _getrf(a[:, basis])
+    if info != 0:
+        raise np.linalg.LinAlgError("singular basis matrix")
+    xb, _ = _getrs(lu, piv, b)
+    y, _ = _getrs(lu, piv, c[basis], trans=1)
+    # Python floats: the loops below read them one at a time
+    reduced = (c - a.T @ y).tolist()
 
     entering = -1
     for j in range(n):
@@ -77,7 +85,8 @@ def _pivot_once(a, b, c, basis, allowed):
     if entering < 0:
         return "optimal", basis
 
-    col = binv_a[:, entering]
+    col, _ = _getrs(lu, piv, a[:, entering])
+    col, xb = col.tolist(), xb.tolist()
     best_ratio = np.inf
     leaving_pos = -1
     for i in range(m):

@@ -172,6 +172,20 @@ class TestBenchmarkCommand:
     def test_rejects_small_sizes(self, capsys):
         assert cli.main(["benchmark", "--sizes", "1", "4"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--sizes", "4294967296"], ["--sizes", "4", "1001"], ["--d", "3", "--sizes", "101"]],
+    )
+    def test_oversized_instance_exits_2(self, argv, monkeypatch, capsys):
+        # n**d past the entry cap is refused before any instance is drawn;
+        # 4294967296**2 wraps to 0 in int64
+        def refuse(*args, **kwargs):
+            raise AssertionError("instance drawn")
+
+        monkeypatch.setattr(cli, "random_instance", refuse)
+        assert cli.main(["benchmark", "--trials", "1"] + argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "table.csv"
         assert cli.main(["benchmark", "--trials", "0", "--out", str(out)]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -224,6 +225,17 @@ class TestReportSerialization:
         assert doc["oracle_value"] == 0.0
         assert len(doc["trace"]) == len(report.trace)
         assert all(len(row) == 4 for row in doc["trace"])
+
+    @pytest.mark.parametrize("oracle_value", [None, 0.0, float("nan")])
+    @pytest.mark.parametrize("include_trace", [False, True])
+    def test_emit_matches_indented_json(self, oracle_value, include_trace):
+        report = self.make_report()
+        odd = report.trace[0]._replace(decrement=float("inf"), objective=-float("inf"))
+        for rows in (report.trace, (odd,) + report.trace[1:], ()):
+            case = dataclasses.replace(report, trace=rows, value=-0.0)
+            doc = report_to_dict(case, oracle_value=oracle_value, include_trace=include_trace)
+            text = emit_report(case, oracle_value=oracle_value, include_trace=include_trace)
+            assert text == json.dumps(doc, indent=2) + "\n"
 
     def test_emit_parses_back(self):
         report = self.make_report()

@@ -311,7 +311,7 @@ class TestStructuredNewton:
         problem = random_problem((3, 4), rng)
         u = random_interior_point(problem, rng).ravel()
         workspace = ipm._NewtonWorkspace(problem)
-        workspace.prepare(u).directions((2.0, 3.0))
+        workspace.prepare(u).scaled_steps((2.0, 3.0))
         guess = workspace.warm_start((5.0,))
         cold = ipm._NewtonWorkspace(problem)
         cold.prepare(u).direction(5.0)
@@ -422,7 +422,7 @@ class TestShortStepSolve:
         for row in report.trace:
             assert row.decrement <= config.decrement_beta
         for prev, cur in zip(report.trace, report.trace[1:]):
-            assert cur.eta / prev.eta == pytest.approx(growth, rel=1e-15)
+            assert cur.eta / prev.eta >= growth * (1.0 - 1e-15)
         assert report.gap_bound <= config.epsilon
         assert report.theta == 9.0
 
@@ -433,6 +433,56 @@ class TestShortStepSolve:
             report = short_step_solve(problem)
             assert report.optimizer.min() > 0.0
             assert residual_norm(problem, report.optimizer) <= 1e-8
+
+    def test_last_step_stops_at_target(self):
+        # without the clamp at theta / epsilon, the V instance overshot into
+        # the rounding floor and its decrement rose to 0.42
+        rng = np.random.default_rng(67)
+        config = SolverConfig()
+        for variant in ("U", "V"):
+            problem = random_problem((2, 2, 2), rng, variant=variant)
+            report = short_step_solve(problem, config)
+            growth = 1.0 + config.step_gamma / np.sqrt(report.theta)
+            prev, last = report.trace[-2:]
+            assert last.eta <= max(report.theta / config.epsilon, prev.eta * growth)
+
+    def test_pre_step_decrement_within_radius(self):
+        # each step goes to an eta at which the decrement at the iterate it
+        # starts from is at most sqrt(beta) / (1 + sqrt(beta)), 1/3 here
+        radius = np.sqrt(0.25) / (1.0 + np.sqrt(0.25))
+        rng = np.random.default_rng(72)
+        for variant in ("U", "V"):
+            for dims in ((3, 4), (2, 3, 2)):
+                problem = random_problem(dims, rng, variant)
+                states = []
+                short_step_solve(problem, observer=states.append)
+                assert len(states) > 2
+                for prev, cur in zip(states, states[1:]):
+                    _, dec = newton_direction(problem, prev.point, cur.eta)
+                    assert dec <= radius + 1e-9
+
+    def test_no_more_steps_than_fixed_growth(self):
+        # every step grows eta by at least the fixed short step's factor
+        config = SolverConfig()
+        for problem in criterion_01_problems() + criterion_02_problems():
+            report = short_step_solve(problem, config)
+            growth = 1.0 + config.step_gamma / np.sqrt(report.theta)
+            fixed = np.ceil(np.log(report.theta / config.epsilon) / np.log(growth))
+            assert len(report.trace) - 1 <= fixed
+
+    def test_cost_constant_on_slice_takes_longest_steps(self):
+        # the scaled step does not move with eta, so only the extrapolation
+        # cap and theta / epsilon bound each step
+        problem = uniform_problem((3, 3))
+        config = SolverConfig()
+        report = short_step_solve(problem, config)
+        growth = 1.0 + config.step_gamma / np.sqrt(report.theta)
+        longest = 1.0 + ipm._MAX_EXTRAPOLATION * (growth - 1.0)
+        for prev, cur in zip(report.trace, report.trace[1:]):
+            expected = min(prev.eta * longest, report.theta / config.epsilon)
+            assert cur.eta == pytest.approx(expected, rel=1e-12)
+        assert report.eta_final == report.theta / config.epsilon
+        assert residual_norm(problem, report.optimizer) <= 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(68)
