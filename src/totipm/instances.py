@@ -93,7 +93,7 @@ def _as_float_list(values, field):
             v = float(v)
         except OverflowError:
             raise InstanceFormatError(field, "integer entry too large for a float") from None
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise InstanceFormatError(field, f"non-finite entry {v!r}")
         out.append(v)
     return out
