@@ -435,8 +435,8 @@ class TestShortStepSolve:
             assert residual_norm(problem, report.optimizer) <= 1e-8
 
     def test_last_step_stops_at_target(self):
-        # without the clamp at theta / epsilon, the V instance overshot into
-        # the rounding floor and its decrement rose to 0.42
+        # the last step lands on theta / epsilon, not past it, unless the
+        # short step alone goes past; past it lies the rounding floor
         rng = np.random.default_rng(67)
         config = SolverConfig()
         for variant in ("U", "V"):
