@@ -45,10 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("instance", help="path to a JSON instance")
     solve.add_argument("--epsilon", type=float, default=1e-6, help="target precision")
-    solve.add_argument(
-        "--gamma", type=float, default=1.0 / 16.0,
-        help="minimum path growth: eta grows by at least 1 + gamma/sqrt(theta) per step",
-    )
     solve.add_argument("--beta", type=float, default=0.25, help="centering proximity bound")
     solve.add_argument("--trace", action="store_true", help="include the iteration trace")
     solve.add_argument("--oracle", action="store_true", help="also run the simplex oracle")
@@ -108,9 +104,7 @@ def _solve_command(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        config = SolverConfig(
-            epsilon=args.epsilon, step_gamma=args.gamma, decrement_beta=args.beta
-        )
+        config = SolverConfig(epsilon=args.epsilon, decrement_beta=args.beta)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

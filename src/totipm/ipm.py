@@ -10,33 +10,35 @@ epsilon of the optimum.
 Each Phase II step picks its eta from the factor at the current iterate.
 The scaled step w (below) is affine in eta, so the decrement squared is a
 quadratic in eta, whose coefficients come from the Gram matrix of w at eta
-and at eta * (1 + gamma / sqrt(theta)).  The step goes to the largest eta at
-which the decrement is sqrt(beta) / (1 + sqrt(beta)), 1/3 at beta = 1/4: a
-full Newton step from there lands at decrement (1/3 / (1 - 1/3))^2 = beta
-at most (Nesterov & Nemirovskii 1994; Renegar 2001, ch. 2).  It is never
-shorter than the paper's short step, the factor (1 + gamma / sqrt(theta)),
-the worst case of the same bound; it never goes past theta / epsilon, nor
-past 1e4 times the short step's eta increment (_MAX_EXTRAPOLATION).  Over
-the 70 criterion-1/2 instances at epsilon 1e-8 the median step is 7-11
-times that increment, and the solves take 12 168 steps in all, against
-99 801 with the short step alone.
+and at eta * (1 + gamma / sqrt(theta)), with gamma = 1/16 fixed.  The step
+goes to the largest eta at which the decrement is sqrt(beta) /
+(1 + sqrt(beta)), 1/3 at beta = 1/4: a full Newton step from there lands at
+decrement (1/3 / (1 - 1/3))^2 = beta at most (Nesterov & Nemirovskii 1994;
+Renegar 2001, ch. 2).  It is never shorter than the paper's short step, the
+factor (1 + gamma / sqrt(theta)), the worst case of the same bound; it never
+goes past theta / epsilon, nor past 1e4 times the short step's eta increment
+(_MAX_EXTRAPOLATION).  Over the 70 criterion-1/2 instances at epsilon 1e-8
+the median step is 7-11 times that increment, and the solves take 12 168
+steps in all, against 99 801 with the short step alone.
 
 The Newton system uses the diagonal barrier Hessian.  Written in the scaled
 step w = delta / u, the step is w = diag(u) A^T y - dg with dg = eta*u*c - 1,
 the multipliers y solving A diag(u^2) A^T y = A diag(u) dg + (b - A u), and
 the decrement is |w|.
 
-Both variants solve that normal system directly, in one workspace, with
-one operator: ConstraintSystem, whose rows are a table of the modes each
-row fixes (the first n_k - 1 marginal rows of every mode and the total for
-"U", the independent mode sums for "V").  On small problems it multiplies by
-its dense 0/1 rows; above a size crossover it never forms them, applying A
-as partial sums, A^T as broadcast sums, and gathering M = A diag(u^2) A^T
-from the sums of u^2 over the modes each pair of rows leaves free.  LAPACK
-potrf factors M once per iterate, and both Phase II solves (at eta, for the
-trace decrement, and at eta * growth) share that factor as two right-hand
-sides; the line through them gives the step at the chosen eta.  Squaring
-the condition number this way is made safe by two measures:
+Both variants solve that normal system directly, in one workspace method
+(_NewtonWorkspace.scaled_steps: factor at the iterate, return w at each eta
+asked for), with one operator: ConstraintSystem, whose rows are a table of
+the modes each row fixes (the first n_k - 1 marginal rows of every mode and
+the total for "U", the independent mode sums for "V").  On small problems
+it multiplies by its dense 0/1 rows; above a size crossover it never forms
+them, applying A as partial sums, A^T as broadcast sums, and gathering
+M = A diag(u^2) A^T from the sums of u^2 over the modes each pair of rows
+leaves free.  LAPACK potrf factors M once per iterate, and both Phase II
+solves (at eta, for the trace decrement, and at eta * growth) share that
+factor as two right-hand sides; the line through them gives the step at the
+chosen eta.  Squaring the condition number this way is made safe by two
+measures:
 
 * warm start: the first solve is for the correction to the previous
   iterate's multipliers, extrapolated in eta (at a fixed iterate y is affine
@@ -51,29 +53,30 @@ the condition number this way is made safe by two measures:
   start, as in newton_direction, up to three.
 
 Near a degenerate vertex M truly loses rank.  A solve therefore switches for
-good to Householder QR of diag(u) A^T, reading the step off an orthogonal
-projection of dg, once potrf breaks down, once the LAPACK estimate (pocon)
-of the reciprocal condition number of M drops below 1e-12, or once CSNE has
-not settled after six steps: pocon can miss the rank loss by many orders
-(2e2 estimated against 7e14 measured at one d = 3 point).  Above the size
-crossover, the dense rows of A are built only then.  The switch is one-way:
-toward the vertex M only gets worse, and retrying Cholesky at every later
-step found it usable for 119 of 8 778 QR steps after the switch (measured
-with the fixed short step).  Measured on the 50 criterion-1 instances at
-epsilon 1e-8: without the tail 16 fail; with it all certify, 16 enter the
-tail, QR takes 1 363 of 10 049 factorizations, and the decrement agrees
-with the QR one to 2.3e-7 at 1 393 sampled path points, warm or from a
-fresh workspace.  On the 20 criterion-2 (variant V) instances at epsilon
-1e-8: without the tail 6 fail; with it all certify, 6 enter the tail, QR
-takes 287 of 2 190 factorizations, and the decrement agrees with the QR
-one to 7.9e-8 at 615 sampled path points, warm or fresh.
+good, within the same call, to Householder QR of diag(u) A^T, reading the
+step off an orthogonal projection of dg, once potrf breaks down, once the
+LAPACK estimate (pocon) of the reciprocal condition number of M drops below
+1e-12, or once CSNE has not settled after six steps: pocon can miss the
+rank loss by many orders (2e2 estimated against 7e14 measured at one d = 3
+point).  Above the size crossover, the dense rows of A are built only then.
+The switch is one-way: toward the vertex M only gets worse, and retrying
+Cholesky at every later step found it usable for 119 of 8 778 QR steps
+after the switch (measured with the fixed short step).  Measured on the 50
+criterion-1 instances at epsilon 1e-8: without the tail 16 fail; with it
+all certify, 16 enter the tail, QR takes 1 363 of 10 049 factorizations,
+and the decrement agrees with the QR one to 2.3e-7 at 1 393 sampled path
+points, warm or from a fresh workspace.  On the 20 criterion-2 (variant V)
+instances at epsilon 1e-8: without the tail 6 fail; with it all certify, 6
+enter the tail, QR takes 287 of 2 190 factorizations, and the decrement
+agrees with the QR one to 7.9e-8 at 615 sampled path points, warm or
+fresh.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -89,19 +92,26 @@ __all__ = [
     "NonConvergenceError",
     "StepSizeViolationError",
     "newton_direction",
-    "center",
     "short_step_solve",
     "predicted_iterations",
     "DEFAULT_C0",
 ]
 
+# the paper's short step: every Phase II step raises eta by at least the
+# factor 1 + _SHORT_STEP_GAMMA / sqrt(theta), and the longest step is
+# _MAX_EXTRAPOLATION times that eta increment.  Inside the safe region
+# (0, 1/8] the choice barely matters: with gamma 1e-2, 1/16 or 1/8 each of
+# the 70 criterion-1/2 instances at epsilon 1e-6 takes the same number of
+# steps
+_SHORT_STEP_GAMMA = 1.0 / 16.0
+
 # calibration constant for the predicted iteration bound; the theory fixes
-# only the sqrt(theta) log(..) shape, not the prefactor.  1/step_gamma = 16
-# dominates the Phase II step count outright, since no step is shorter than
-# the short step (the bound's log term is never smaller than the path's
-# log(theta/epsilon), because min_i p <= 1/n per mode).  Measured totals on
-# d=2,3 uniform ladders sat at 11x-13x the C0=1 value with the short step
-# alone and sit at 1.4x-1.9x with the longer steps
+# only the sqrt(theta) log(..) shape, not the prefactor.
+# 1/_SHORT_STEP_GAMMA = 16 dominates the Phase II step count outright, since
+# no step is shorter than the short step (the bound's log term is never
+# smaller than the path's log(theta/epsilon), because min_i p <= 1/n per
+# mode).  Measured totals on d=2,3 uniform ladders sat at 11x-13x the C0=1
+# value with the short step alone and sit at 1.4x-1.9x with the longer steps
 DEFAULT_C0 = 16.0
 
 # entries this small mean the iterate has effectively hit the boundary
@@ -155,18 +165,13 @@ class StepSizeViolationError(SolverError):
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-6
-    step_gamma: float = 1.0 / 16.0
     decrement_beta: float = 0.25
     max_iterations: int = 200_000
 
     def __post_init__(self):
         # written so that NaN fails the checks too
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        # the short-step safety region; larger values void the one-step
-        # proximity restoration argument
-        if not 0.0 < self.step_gamma <= 0.125:
-            raise ValueError("step_gamma must lie in (0, 1/8]")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.decrement_beta <= 0.25:
             raise ValueError("decrement_beta must lie in (0, 1/4]")
         if not self.max_iterations >= 1:
@@ -213,18 +218,51 @@ class _NewtonWorkspace:
         # dense constraint rows, set when the QR tail starts
         self.rows = None
 
-    def prepare(self, u):
+    def scaled_steps(self, u, etas):
+        """Factor at the iterate u and return the scaled steps w = delta / u
+        at each eta, one row each."""
+        op = self.op
+        dg = np.multiply.outer(etas, u * self.cost) - 1.0
         if self.rows is None:
-            normal = self.op.normal_matrix(u * u)
+            normal = op.normal_matrix(u * u)
             chol, info = _potrf(normal, lower=1, clean=0)
             if info == 0:
                 # M is entrywise nonnegative: its 1-norm is its largest column sum
                 rcond, info = _pocon(chol, normal.sum(axis=0).max(), uplo="L")
-                if info == 0 and rcond >= _RCOND_FLOOR:
-                    return _CholeskyFactor(self, u, chol)
+            if info == 0 and rcond >= _RCOND_FLOOR:
+                # w = diag(u) A^T y - dg with A (u + u w) = b: the step lands
+                # on the slice, so rounding drift off it cannot accumulate.
+                # The first pass solves for the correction to the warm
+                # start; the next ones are corrected-seminormal-equations
+                # steps, repeated until one moves w by at most _CSNE_SETTLED
+                # in norm.  Every pass recomputes the residual from w itself,
+                # and w is updated by the corrections rather than rebuilt
+                # from y, which grows like eta and would leave rounding of
+                # that size in A u w.
+                y = self.warm_start(etas)
+                w = u * op.adjoint(y) - dg
+                for passes in range(1 + _MAX_CSNE_STEPS):
+                    gap = self.rhs - op.apply(u + u * w)
+                    z, _ = _potrs(chol, gap.T, lower=1)
+                    y += z.T
+                    step = u * op.adjoint(z.T)
+                    w += step
+                    # NaN compares false, so a non-finite solve never settles
+                    if passes and np.vdot(step, step) <= _CSNE_SETTLED**2:
+                        self.last = (etas, y)
+                        return w
+            # M is singular, or closer to it than its condition estimate says
             self.start_tail()
+        # QR tail: the step read off an orthogonal projection of dg
         q, r = scipy.linalg.qr(u[:, None] * self.rows.T, mode="economic")
-        return _ProjectionFactor(self, u, q, r)
+        w = dg - (dg @ q) @ q.T
+        # near the path the projection cancels almost all of dg; a second
+        # pass scrubs the range(Q) remnant the cancellation leaves behind
+        w -= (w @ q) @ q.T
+        w = q @ scipy.linalg.solve_triangular(r, self.rhs - self.rows @ u, trans="T") - w
+        if not np.isfinite(w).all():
+            raise SolverError("constraint rows lost rank at the current iterate")
+        return w
 
     def start_tail(self):
         self.rows = self.op.matrix
@@ -240,76 +278,6 @@ class _NewtonWorkspace:
         return np.multiply.outer(np.subtract(etas, first), slope) + y[0]
 
 
-class _Factor:
-    """A factorization at the iterate u; scaled_steps(etas) gives the scaled
-    steps w = delta / u at each eta, one row each."""
-
-    def direction(self, eta):
-        """(delta, decrement) at eta."""
-        w = self.scaled_steps((eta,))[0]
-        return self.u * w, math.sqrt(w @ w)
-
-
-class _CholeskyFactor(_Factor):
-    def __init__(self, ws, u, chol):
-        self.ws = ws
-        self.u = u
-        self.chol = chol
-
-    def scaled_steps(self, etas):
-        ws, u, op = self.ws, self.u, self.ws.op
-        dg = np.multiply.outer(etas, u * ws.cost) - 1.0
-        # w = diag(u) A^T y - dg with A (u + u w) = b: the step lands on the
-        # slice, so rounding drift off it cannot accumulate.  The first pass
-        # solves for the correction to the warm start; the next ones are
-        # corrected-seminormal-equations steps, repeated until one moves w
-        # by at most _CSNE_SETTLED in norm.  Every pass recomputes the
-        # residual from w itself, and w is updated by the corrections rather
-        # than rebuilt from y, which grows like eta and would leave rounding
-        # of that size in A u w.
-        y = ws.warm_start(etas)
-        w = u * op.adjoint(y) - dg
-        for passes in range(1 + _MAX_CSNE_STEPS):
-            gap = ws.rhs - op.apply(u + u * w)
-            z, _ = _potrs(self.chol, gap.T, lower=1)
-            y += z.T
-            step = u * op.adjoint(z.T)
-            w += step
-            # NaN compares false, so a non-finite solve never settles
-            if passes and np.vdot(step, step) <= _CSNE_SETTLED**2:
-                break
-        else:
-            # M is closer to singular than its condition estimate says
-            ws.start_tail()
-            return ws.prepare(u).scaled_steps(etas)
-        ws.last = (etas, y)
-        return w
-
-
-class _ProjectionFactor(_Factor):
-    """QR tail: the step read off an orthogonal projection of the scaled
-    gradient."""
-
-    def __init__(self, ws, u, q, r):
-        self.ws = ws
-        self.u = u
-        self.q = q
-        self.r = r
-        self.infeasibility = ws.rhs - ws.rows @ u
-
-    def scaled_steps(self, etas):
-        q = self.q
-        dg = np.multiply.outer(etas, self.u * self.ws.cost) - 1.0
-        w = dg - (dg @ q) @ q.T
-        # near the path the projection cancels almost all of dg; a second
-        # pass scrubs the range(Q) remnant the cancellation leaves behind
-        w -= (w @ q) @ q.T
-        w = q @ scipy.linalg.solve_triangular(self.r, self.infeasibility, trans="T") - w
-        if not np.isfinite(w).all():
-            raise SolverError("constraint rows lost rank at the current iterate")
-        return w
-
-
 def _check_domain(u):
     if float(u.min()) < _FLOOR:
         raise SolverError(
@@ -318,59 +286,19 @@ def _check_domain(u):
         )
 
 
-def _as_interior_flat(problem, u):
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != problem.dims:
-        raise ValueError(f"expected shape {problem.dims}, got {u.shape}")
-    flat = u.ravel().astype(np.float64, copy=True)
-    _check_domain(flat)
-    return flat
-
-
 def newton_direction(problem: MarginalProblem, u, eta: float):
     """Newton step of eta <c, x> + sigma(x) at ``u`` restricted to the
     constraint null space, and its decrement sqrt(delta^T H delta)."""
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
-    flat = _as_interior_flat(problem, u)
-    delta, dec = _NewtonWorkspace(problem).prepare(flat).direction(float(eta))
-    return delta.reshape(problem.dims), dec
-
-
-def _damped_newton(workspace, u, eta, config):
-    """The damped-Newton loop of center and of Phase I.  Returns the point,
-    its decrement, the step count and the factor at the point."""
-    steps = 0
-    while True:
-        factor = workspace.prepare(u)
-        delta, dec = factor.direction(eta)
-        if dec <= _CENTER_TOL:
-            return u, dec, steps, factor
-        if steps >= config.max_iterations:
-            raise NonConvergenceError(
-                f"centering at eta {eta!r} still at decrement {dec!r} after {steps} steps"
-            )
-        if dec > config.decrement_beta:
-            u = u + delta / (1.0 + dec)
-        else:
-            u = u + delta
-        _check_domain(u)
-        steps += 1
-
-
-def center(problem: MarginalProblem, u0, eta: float, config: SolverConfig | None = None) -> PathState:
-    """Damped Newton to the minimizer of eta <c, x> + sigma(x) on the slice.
-
-    Damped steps delta / (1 + delta_norm) while the decrement exceeds
-    decrement_beta (these stay strictly feasible by self-concordance), then
-    full steps down to a decrement of 1e-10.
-    """
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
-    u, dec, steps, _ = _damped_newton(
-        _NewtonWorkspace(problem), _as_interior_flat(problem, u0), float(eta), config or SolverConfig()
-    )
-    return PathState(eta=float(eta), point=u.reshape(problem.dims), decrement=dec, iteration=steps)
+    # written so that NaN fails the check too
+    if not 0.0 <= eta < math.inf:
+        raise ValueError("eta must be nonnegative and finite")
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != problem.dims:
+        raise ValueError(f"expected shape {problem.dims}, got {u.shape}")
+    flat = u.ravel()
+    _check_domain(flat)
+    w = _NewtonWorkspace(problem).scaled_steps(flat, (float(eta),))[0]
+    return (flat * w).reshape(problem.dims), math.sqrt(w @ w)
 
 
 def _next_eta(gram, eta, growth, radius, eta_stop):
@@ -403,15 +331,20 @@ def _next_eta(gram, eta, growth, radius, eta_stop):
 def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = None, observer=None) -> SolveReport:
     """Run the full path-following method and return the solve report.
 
-    Each Phase II step raises eta by at least the factor
-    (1 + step_gamma / sqrt(theta)), and further while the decrement at the
-    current iterate stays at most sqrt(beta) / (1 + sqrt(beta)) (see the
-    module docstring).  The trace holds one row after Phase I centering and
-    one per Phase II step: (eta, decrement, objective, theta/eta), with the
-    decrement measured at the recorded iterate and eta.  ``observer``, if
-    given, is called with the PathState of every trace row.  Raises
-    StepSizeViolationError if a step leaves the decrement above
-    decrement_beta, and NonConvergenceError if max_iterations runs out.
+    Phase I centers at eta = 1 from the product of the marginals: damped
+    Newton steps delta / (1 + decrement) while the decrement exceeds
+    decrement_beta (these stay strictly feasible by self-concordance), then
+    full steps down to a decrement of 1e-10.  Each Phase II step raises eta
+    by at least the fixed factor (1 + (1/16) / sqrt(theta)), and further
+    while the decrement at the current iterate stays at most
+    sqrt(beta) / (1 + sqrt(beta)) (see the module docstring).  The trace
+    holds one row after Phase I and one per Phase II step: (eta, decrement,
+    objective, theta/eta), with the decrement measured at the recorded
+    iterate and eta.  ``observer``, if given, is called with the PathState
+    of every trace row; the first call's iteration is the Phase I step
+    count.  Raises StepSizeViolationError if a step leaves the decrement
+    above decrement_beta, and NonConvergenceError if max_iterations runs
+    out, in Phase I ("centering at eta ...") or in Phase II.
     """
     config = config or SolverConfig()
     # the barrier's complexity value; the gap bound theta / eta certifies
@@ -422,13 +355,27 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
 
     # Phase I: damped Newton at eta = 1 from the product tensor
     eta = 1.0
-    u, dec, steps, factor = _damped_newton(workspace, start_point(problem).ravel(), eta, config)
+    u = start_point(problem).ravel()
+    steps = 0
+    while True:
+        w = workspace.scaled_steps(u, (eta,))[0]
+        dec = math.sqrt(w @ w)
+        if dec <= _CENTER_TOL:
+            break
+        if steps >= config.max_iterations:
+            raise NonConvergenceError(
+                f"centering at eta {eta!r} still at decrement {dec!r} after {steps} steps"
+            )
+        delta = u * w
+        u = u + (delta / (1.0 + dec) if dec > config.decrement_beta else delta)
+        _check_domain(u)
+        steps += 1
 
     trace = [TraceRow(eta, dec, float(cost @ u), theta / eta)]
     if observer is not None:
         observer(PathState(eta=eta, point=u.reshape(problem.dims), decrement=dec, iteration=steps))
 
-    growth = 1.0 + config.step_gamma / math.sqrt(theta)
+    growth = 1.0 + _SHORT_STEP_GAMMA / math.sqrt(theta)
     # a full Newton step from decrement <= radius lands at decrement <= beta
     root_beta = math.sqrt(config.decrement_beta)
     radius = root_beta / (1.0 + root_beta)
@@ -438,8 +385,8 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
     # Newton step, verify proximity.  The factorization depends on the
     # iterate only, so one factor yields the scaled steps at eta (the trace
     # decrement) and at eta*growth, and the line through them the step at
-    # any other eta.
-    w = factor.scaled_steps((eta, eta * growth))
+    # any other eta.  The first call factors the centered point again.
+    w = workspace.scaled_steps(u, (eta, eta * growth))
     gram = w @ w.T
     while theta / eta > config.epsilon:
         if steps >= config.max_iterations:
@@ -450,8 +397,7 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
         u = u + u * (w[0] + t * (w[1] - w[0]))
         _check_domain(u)
         steps += 1
-        factor = workspace.prepare(u)
-        w = factor.scaled_steps((eta, eta * growth))
+        w = workspace.scaled_steps(u, (eta, eta * growth))
         gram = w @ w.T
         dec = math.sqrt(gram[0, 0])
         if dec > _SAFETY_DECREMENT:

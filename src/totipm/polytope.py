@@ -333,17 +333,6 @@ def residual_norm(problem: MarginalProblem, u) -> float:
     return max(frobenius_norm(r) for r in residual(problem, u))
 
 
-def _difference_vectors(n: int) -> list:
-    """e_i - e_{i+1} for i in range(n - 1)."""
-    out = []
-    for i in range(n - 1):
-        g = np.zeros(n)
-        g[i] = 1.0
-        g[i + 1] = -1.0
-        out.append(g)
-    return out
-
-
 def null_space_dim(problem: MarginalProblem) -> int:
     dims = problem.dims
     if problem.variant == "V":
@@ -351,44 +340,36 @@ def null_space_dim(problem: MarginalProblem) -> int:
     return int(np.prod(dims)) - 1 - sum(n - 1 for n in dims)
 
 
-def null_basis(problem: MarginalProblem) -> list:
-    """Linearly independent tensors spanning the homogeneous solution set.
+def null_basis_matrix(problem: MarginalProblem) -> np.ndarray:
+    """Linearly independent tensors spanning the homogeneous solution set,
+    flattened into the columns of an N x t matrix.
 
-    Variant "V" (any d): outer products of per-mode difference vectors,
-    prod(n_k - 1) elements.  Variant "U", d = 2: the difference basis
-    g_i h_j^T, (m-1)(n-1) elements.  Variant "U", d > 2: an orthonormal
-    kernel basis of the reduced constraint matrix, computed numerically.
+    Variant "V" (any d) and variant "U" with d = 2: the Kronecker product of
+    the per-mode difference matrices, whose columns are e_i - e_{i+1}, so
+    each basis element is an outer product of difference vectors,
+    prod(n_k - 1) elements.  Variant "U", d > 2: an orthonormal kernel basis
+    of the reduced constraint matrix, computed numerically.
     """
     dims = problem.dims
-    if problem.variant == "V":
-        diffs = [_difference_vectors(n) for n in dims]
-        basis = []
-        for combo in np.ndindex(*[n - 1 for n in dims]):
-            basis.append(outer([diffs[k][i] for k, i in enumerate(combo)]))
-        return basis
+    if problem.variant == "V" or problem.d == 2:
+        diffs = [np.eye(n, n - 1) - np.eye(n, n - 1, -1) for n in dims]
+        return functools.reduce(np.kron, diffs)
     if problem.d == 1:
-        return []
-    if problem.d == 2:
-        gs = _difference_vectors(dims[0])
-        hs = _difference_vectors(dims[1])
-        return [outer([g, h]) for g in gs for h in hs]
-    a = problem.constraints.matrix
-    kernel = scipy.linalg.null_space(a)
+        return np.zeros((problem.size, 0))
+    kernel = scipy.linalg.null_space(problem.constraints.matrix)
     expected = null_space_dim(problem)
     if kernel.shape[1] != expected:
         raise RuntimeError(
             f"kernel dimension {kernel.shape[1]} does not match the forced "
             f"count {expected} for shape {dims}"
         )
-    return [kernel[:, j].reshape(dims) for j in range(kernel.shape[1])]
+    return kernel
 
 
-def null_basis_matrix(problem: MarginalProblem) -> np.ndarray:
-    """Basis elements flattened into the columns of an N x t matrix."""
-    basis = null_basis(problem)
-    if not basis:
-        return np.zeros((problem.size, 0))
-    return np.column_stack([e.ravel() for e in basis])
+def null_basis(problem: MarginalProblem) -> list:
+    """The columns of null_basis_matrix, each reshaped to the tensor shape."""
+    basis = null_basis_matrix(problem)
+    return [basis[:, j].reshape(problem.dims) for j in range(basis.shape[1])]
 
 
 def centering_project(u) -> np.ndarray:

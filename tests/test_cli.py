@@ -102,11 +102,12 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_exits_2(self, matching_instance, capsys):
-        assert cli.main(["solve", matching_instance, "--gamma", "0.5"]) == 2
+        assert cli.main(["solve", matching_instance, "--beta", "0.5"]) == 2
 
     def test_nan_epsilon_exits_2(self, matching_instance, capsys):
-        assert cli.main(["solve", matching_instance, "--epsilon", "nan"]) == 2
-        assert "epsilon must be positive" in capsys.readouterr().err
+        for epsilon in ("nan", "inf"):
+            assert cli.main(["solve", matching_instance, "--epsilon", epsilon]) == 2
+            assert "epsilon must be positive and finite" in capsys.readouterr().err
 
     def test_solver_failure_exits_3(self, matching_instance, capsys, monkeypatch):
         def boom(problem, config):
@@ -192,8 +193,9 @@ class TestBenchmarkCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_nan_epsilon_exits_2(self, capsys):
-        assert cli.main(["benchmark", "--sizes", "3", "--epsilon", "nan"]) == 2
-        assert "epsilon must be positive" in capsys.readouterr().err
+        for epsilon in ("nan", "inf"):
+            assert cli.main(["benchmark", "--sizes", "3", "--epsilon", epsilon]) == 2
+            assert "epsilon must be positive and finite" in capsys.readouterr().err
 
     def test_solver_failure_exits_3(self, capsys, monkeypatch):
         def boom(problem, config):

@@ -11,7 +11,6 @@ from totipm.ipm import (
     NonConvergenceError,
     SolverConfig,
     SolverError,
-    center,
     newton_direction,
     predicted_iterations,
     short_step_solve,
@@ -49,7 +48,7 @@ def random_problem(dims, rng, variant="U"):
 class TestSolverConfig:
     def test_defaults_valid(self):
         config = SolverConfig()
-        assert config.step_gamma == 1.0 / 16.0
+        assert config.epsilon == 1e-6
         assert config.decrement_beta == 0.25
 
     @pytest.mark.parametrize(
@@ -57,14 +56,13 @@ class TestSolverConfig:
         [
             {"epsilon": 0.0},
             {"epsilon": -1.0},
-            {"step_gamma": 0.0},
-            {"step_gamma": 0.2},
             {"decrement_beta": 0.0},
             {"decrement_beta": 0.3},
             {"max_iterations": -1},
             {"max_iterations": 0},
             {"epsilon": float("nan")},
             {"max_iterations": float("nan")},
+            {"epsilon": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -127,8 +125,9 @@ class TestNewtonDirection:
 
     def test_rejects_negative_eta(self):
         problem = uniform_problem((2, 2))
-        with pytest.raises(ValueError):
-            newton_direction(problem, start_point(problem), eta=-1.0)
+        for eta in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                newton_direction(problem, start_point(problem), eta=eta)
 
     def test_tables_built_once_per_problem(self, monkeypatch):
         # newton_direction reuses the problem's ConstraintSystem: a second
@@ -171,7 +170,8 @@ def qr_decrement(problem, u, eta):
     """Decrement from Householder QR of diag(u) A^T, the route of the QR tail."""
     workspace = ipm._NewtonWorkspace(problem)
     workspace.start_tail()
-    return workspace.prepare(u.ravel()).direction(eta)[1]
+    w = workspace.scaled_steps(u.ravel(), (eta,))[0]
+    return float(np.sqrt(w @ w))
 
 
 def reductions_only(patch):
@@ -301,7 +301,7 @@ class TestStructuredNewton:
             u = np.array([0.5, tiny, tiny, 0.5])
             np.linalg.cholesky(ConstraintSystem(problem).normal_matrix(u * u))
             workspace = ipm._NewtonWorkspace(problem)
-            workspace.prepare(u)
+            workspace.scaled_steps(u, (1.0,))
             assert (workspace.rows is not None) == tail
 
     def test_warm_start_is_exact_at_a_fixed_iterate(self):
@@ -311,10 +311,10 @@ class TestStructuredNewton:
         problem = random_problem((3, 4), rng)
         u = random_interior_point(problem, rng).ravel()
         workspace = ipm._NewtonWorkspace(problem)
-        workspace.prepare(u).scaled_steps((2.0, 3.0))
+        workspace.scaled_steps(u, (2.0, 3.0))
         guess = workspace.warm_start((5.0,))
         cold = ipm._NewtonWorkspace(problem)
-        cold.prepare(u).direction(5.0)
+        cold.scaled_steps(u, (5.0,))
         assert np.allclose(guess, cold.last[1], rtol=1e-9, atol=1e-12)
 
     def test_no_dense_rows_without_tail(self, monkeypatch):
@@ -332,62 +332,51 @@ class TestStructuredNewton:
 
 
 class TestCenter:
-    def test_uniform_start_already_central(self):
-        problem = uniform_problem((2, 2))
-        state = center(problem, start_point(problem), eta=0.0)
-        assert state.iteration == 0
-        assert state.decrement <= 1e-10
-        assert np.array_equal(state.point, start_point(problem))
-
-    def test_converges_from_skewed_marginals(self):
-        problem = MarginalProblem(
-            cost=np.zeros((2, 2)),
-            marginals=(np.array([0.3, 0.7]), np.array([0.5, 0.5])),
-        )
-        u0 = start_point(problem) + 0.05 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        state = center(problem, u0, eta=0.0)
-        assert state.decrement <= 1e-10
-        assert residual_norm(problem, state.point) <= 1e-10
-        assert state.point.min() > 0.0
+    """Phase I of short_step_solve: centering at eta = 1 from the product of
+    the marginals."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_maximizes_log_sum(self):
-        # at eta=0 the centered point maximizes sum(log u) over the slice;
-        # compare against a constrained-optimization oracle (SLSQP clips
-        # bounds internally during line search, hence the warning filter)
+        # the Phase I end point, the first observed state, minimizes
+        # <c, u> - sum(log u) over the slice; compare against a
+        # constrained-optimization oracle (SLSQP clips bounds internally
+        # during line search, hence the warning filter)
         rng = np.random.default_rng(64)
         problem = random_problem((3, 3), rng)
-        state = center(problem, start_point(problem), eta=0.0)
-        achieved = float(np.log(state.point).sum())
+        states = []
+        short_step_solve(problem, SolverConfig(epsilon=1e-2), observer=states.append)
+        assert states[0].eta == 1.0
+        c = problem.cost.ravel()
+        point = states[0].point.ravel()
+        achieved = float(c @ point - np.log(point).sum())
         a = ConstraintSystem(problem).matrix
         b = ConstraintSystem(problem).rhs
         x0 = start_point(problem).ravel()
         result = scipy.optimize.minimize(
-            lambda x: -np.log(np.maximum(x, 1e-12)).sum(),
+            lambda x: c @ x - np.log(np.maximum(x, 1e-12)).sum(),
             x0,
-            jac=lambda x: -1.0 / np.maximum(x, 1e-12),
+            jac=lambda x: c - 1.0 / np.maximum(x, 1e-12),
             constraints=[{"type": "eq", "fun": lambda x: a @ x - b}],
             bounds=[(1e-9, None)] * x0.size,
             method="SLSQP",
             options={"maxiter": 200, "ftol": 1e-12},
         )
-        assert achieved >= -result.fun - 1e-6
+        assert achieved <= result.fun + 1e-6
 
     def test_domain_error_on_boundary_point(self):
         problem = uniform_problem((2, 2))
         u0 = start_point(problem).copy()
         u0[0, 0] = 1e-301
         with pytest.raises(SolverError):
-            center(problem, u0, eta=1.0)
+            newton_direction(problem, u0, eta=1.0)
 
     def test_nonconvergence_budget(self):
         problem = MarginalProblem(
-            cost=np.zeros((2, 2)),
+            cost=np.array([[0.0, 1.0], [1.0, 0.0]]),
             marginals=(np.array([0.3, 0.7]), np.array([0.5, 0.5])),
         )
-        u0 = start_point(problem) + 0.14 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        with pytest.raises(NonConvergenceError):
-            center(problem, u0, eta=0.0, config=SolverConfig(max_iterations=1))
+        with pytest.raises(NonConvergenceError, match="centering at eta"):
+            short_step_solve(problem, SolverConfig(max_iterations=1))
 
 
 class TestShortStepSolve:
@@ -416,7 +405,7 @@ class TestShortStepSolve:
         problem = random_problem((3, 3), rng)
         config = SolverConfig(epsilon=1e-4)
         report = short_step_solve(problem, config)
-        growth = 1.0 + config.step_gamma / np.sqrt(report.theta)
+        growth = 1.0 + ipm._SHORT_STEP_GAMMA / np.sqrt(report.theta)
         gaps = [row.gap_bound for row in report.trace]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
         for row in report.trace:
@@ -442,7 +431,7 @@ class TestShortStepSolve:
         for variant in ("U", "V"):
             problem = random_problem((2, 2, 2), rng, variant=variant)
             report = short_step_solve(problem, config)
-            growth = 1.0 + config.step_gamma / np.sqrt(report.theta)
+            growth = 1.0 + ipm._SHORT_STEP_GAMMA / np.sqrt(report.theta)
             prev, last = report.trace[-2:]
             assert last.eta <= max(report.theta / config.epsilon, prev.eta * growth)
 
@@ -466,7 +455,7 @@ class TestShortStepSolve:
         config = SolverConfig()
         for problem in criterion_01_problems() + criterion_02_problems():
             report = short_step_solve(problem, config)
-            growth = 1.0 + config.step_gamma / np.sqrt(report.theta)
+            growth = 1.0 + ipm._SHORT_STEP_GAMMA / np.sqrt(report.theta)
             fixed = np.ceil(np.log(report.theta / config.epsilon) / np.log(growth))
             assert len(report.trace) - 1 <= fixed
 
@@ -476,7 +465,7 @@ class TestShortStepSolve:
         problem = uniform_problem((3, 3))
         config = SolverConfig()
         report = short_step_solve(problem, config)
-        growth = 1.0 + config.step_gamma / np.sqrt(report.theta)
+        growth = 1.0 + ipm._SHORT_STEP_GAMMA / np.sqrt(report.theta)
         longest = 1.0 + ipm._MAX_EXTRAPOLATION * (growth - 1.0)
         for prev, cur in zip(report.trace, report.trace[1:]):
             expected = min(prev.eta * longest, report.theta / config.epsilon)

@@ -1,12 +1,17 @@
-"""The public surface: every ``__all__`` entry resolves, and the package
-itself re-exports only the solve path."""
+"""The public surface: every ``__all__`` entry resolves, the package
+itself re-exports only the solve path, and the solver's settings and the
+solve command's options are a fixed set."""
 
+import argparse
+import dataclasses
 import importlib
 import pkgutil
 
 import pytest
 
 import totipm
+from totipm import cli
+from totipm.ipm import SolverConfig
 
 PACKAGE_NAMES = {
     "MarginalProblem",
@@ -40,3 +45,23 @@ def test_star_import_binds_all(name):
     assert set(namespace) == set(module.__all__)
     if name == "totipm":
         assert set(namespace) == PACKAGE_NAMES
+
+
+def test_solver_config_fields():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "epsilon",
+        "decrement_beta",
+        "max_iterations",
+    ]
+
+
+def test_solve_options():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for action in commands.choices["solve"]._actions
+        if action.dest != "help"
+        for option in action.option_strings
+    }
+    assert options == {"--epsilon", "--beta", "--trace", "--oracle", "--out"}
