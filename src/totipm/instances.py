@@ -27,7 +27,6 @@ __all__ = [
     "parse_instance",
     "load_instance",
     "emit_instance",
-    "save_instance",
     "random_instance",
     "report_to_dict",
     "emit_report",
@@ -142,14 +141,20 @@ def parse_instance(text: str) -> MarginalProblem:
         p = np.array(_as_float_list(entry, "marginals"))
         if np.any(p <= 0.0):
             raise InstanceFormatError("marginals", f"vector {k} must be strictly positive")
-        total = float(p.sum())
+        with np.errstate(over="ignore"):
+            total = float(p.sum())
+        if abs(total - 1.0) > 1e-12:
+            p = p / total
+        # a sum that overflows, or an entry too small beside it, normalizes to 0
+        if not np.all(np.isfinite(p) & (p > 0.0)):
+            raise InstanceFormatError(
+                "marginals", f"vector {k} sums to {total!r} and does not normalize to positive entries"
+            )
         if abs(total - 1.0) > 1e-9:
             print(
                 f"warning: marginal {k} sums to {total!r}; renormalizing",
                 file=sys.stderr,
             )
-        if abs(total - 1.0) > 1e-12:
-            p = p / total
         marginals.append(p)
 
     return MarginalProblem(cost=cost, marginals=tuple(marginals), variant=variant)
@@ -173,11 +178,6 @@ def emit_instance(problem: MarginalProblem) -> str:
         "marginals": [[float(x) for x in p] for p in problem.marginals],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def save_instance(problem: MarginalProblem, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(emit_instance(problem))
 
 
 def random_instance(dims, variant: str, rng: SplitMix64, marginals: str = "uniform") -> MarginalProblem:

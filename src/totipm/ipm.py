@@ -432,8 +432,8 @@ def predicted_iterations(problem: MarginalProblem, epsilon: float) -> float:
     C0 = DEFAULT_C0 is an empirical calibration constant, reported rather
     than derived; the sqrt/log shape is what the theory fixes.
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     n_prod = float(problem.size)
     min_prod = 1.0
     for p in problem.marginals:

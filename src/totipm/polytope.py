@@ -8,8 +8,8 @@ positive probability vectors p_1..p_d:
 * variant ``"V"`` (mode-sum): summing along mode k yields the outer
   product of the other marginals.
 
-For d = 2 the variants coincide.  Both contain the product tensor
-``outer(p_1, .., p_d)``, which is strictly positive and serves as the
+For d = 2 the variants coincide.  Both contain the product tensor, the
+outer product of p_1, .., p_d, which is strictly positive and serves as the
 interior starting point of the path-following solver.
 """
 
@@ -21,20 +21,14 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-
-from .tensor import frobenius_norm, marginal, mode_contract, outer
 
 __all__ = [
     "MarginalProblem",
     "ConstraintSystem",
     "start_point",
-    "residual",
     "residual_norm",
-    "null_basis",
     "null_basis_matrix",
     "null_space_dim",
-    "centering_project",
     "random_interior_point",
 ]
 
@@ -305,32 +299,25 @@ class ConstraintSystem:
 def start_point(problem: MarginalProblem) -> np.ndarray:
     """The product tensor of the marginals: strictly positive and feasible
     for both variants."""
-    return outer(problem.marginals)
-
-
-def residual(problem: MarginalProblem, u) -> list:
-    """Per-mode constraint residuals of ``u``.
-
-    Variant "U": d vectors, mode-k marginal minus p_k.  Variant "V": d
-    tensors, mode-k sum minus the outer product of the other marginals.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != problem.dims:
-        raise ValueError(f"expected shape {problem.dims}, got {u.shape}")
-    out = []
-    for k in range(problem.d):
-        if problem.variant == "U":
-            out.append(marginal(u, k) - problem.marginals[k])
-        else:
-            other = [p for j, p in enumerate(problem.marginals) if j != k]
-            target = outer(other) if other else np.array(1.0)
-            out.append(mode_contract(u, k, np.ones(problem.dims[k])) - target)
-    return out
+    return functools.reduce(np.multiply.outer, problem.marginals)
 
 
 def residual_norm(problem: MarginalProblem, u) -> float:
-    """Largest Frobenius norm among the per-mode residuals."""
-    return max(frobenius_norm(r) for r in residual(problem, u))
+    """Largest Frobenius norm among the per-mode constraint residuals of
+    ``u``: the mode-k marginal minus p_k (variant "U"), or the sum along
+    mode k minus the outer product of the other marginals (variant "V")."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != problem.dims:
+        raise ValueError(f"expected shape {problem.dims}, got {u.shape}")
+    norms = []
+    for k, p in enumerate(problem.marginals):
+        if problem.variant == "U":
+            r = u.sum(axis=tuple(j for j in range(problem.d) if j != k)) - p
+        else:
+            others = problem.marginals[:k] + problem.marginals[k + 1 :]
+            r = u.sum(axis=k) - functools.reduce(np.multiply.outer, others, np.array(1.0))
+        norms.append(float(np.linalg.norm(r)))
+    return max(norms)
 
 
 def null_space_dim(problem: MarginalProblem) -> int:
@@ -344,41 +331,26 @@ def null_basis_matrix(problem: MarginalProblem) -> np.ndarray:
     """Linearly independent tensors spanning the homogeneous solution set,
     flattened into the columns of an N x t matrix.
 
-    Variant "V" (any d) and variant "U" with d = 2: the Kronecker product of
-    the per-mode difference matrices, whose columns are e_i - e_{i+1}, so
-    each basis element is an outer product of difference vectors,
-    prod(n_k - 1) elements.  Variant "U", d > 2: an orthonormal kernel basis
-    of the reduced constraint matrix, computed numerically.
+    Per mode, the all-ones vector and the differences e_i - e_{i+1} (the
+    columns of D_k) form a basis of R^{n_k}, so the Kronecker product of
+    the factors [1 | D_k] is a basis of R^N whose columns are outer
+    products.  A difference vector sums to 0, so a column with a difference
+    at mode k sums to 0 along k, and one with differences at two modes has
+    zero marginals, since each marginal sums along one of them at least.
+    Variant "V" keeps the columns with a difference at every mode, which is
+    the Kronecker product of the D_k, prod(n_k - 1) columns; variant "U"
+    keeps those with a difference at two or more modes, all but
+    1 + sum(n_k - 1).
     """
     dims = problem.dims
-    if problem.variant == "V" or problem.d == 2:
-        diffs = [np.eye(n, n - 1) - np.eye(n, n - 1, -1) for n in dims]
+    diffs = [np.eye(n, n - 1) - np.eye(n, n - 1, -1) for n in dims]
+    fewest = problem.d if problem.variant == "V" else 2
+    if fewest == problem.d:
+        # the same columns, without the N x N product of the full factors
         return functools.reduce(np.kron, diffs)
-    if problem.d == 1:
-        return np.zeros((problem.size, 0))
-    kernel = scipy.linalg.null_space(problem.constraints.matrix)
-    expected = null_space_dim(problem)
-    if kernel.shape[1] != expected:
-        raise RuntimeError(
-            f"kernel dimension {kernel.shape[1]} does not match the forced "
-            f"count {expected} for shape {dims}"
-        )
-    return kernel
-
-
-def null_basis(problem: MarginalProblem) -> list:
-    """The columns of null_basis_matrix, each reshaped to the tensor shape."""
-    basis = null_basis_matrix(problem)
-    return [basis[:, j].reshape(problem.dims) for j in range(basis.shape[1])]
-
-
-def centering_project(u) -> np.ndarray:
-    """Orthogonal projection onto the variant-"V" null space: subtract the
-    mean along every mode (the Kronecker product of per-mode centerings)."""
-    out = np.asarray(u, dtype=np.float64).copy()
-    for k in range(out.ndim):
-        out -= out.mean(axis=k, keepdims=True)
-    return out
+    factors = [np.column_stack((np.ones(n), diff)) for n, diff in zip(dims, diffs)]
+    full = functools.reduce(np.kron, factors)
+    return full[:, (np.indices(dims) > 0).sum(axis=0).ravel() >= fewest]
 
 
 def random_interior_point(problem: MarginalProblem, rng) -> np.ndarray:

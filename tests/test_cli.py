@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import totipm.cli as cli
-from totipm.instances import save_instance
+from totipm.instances import emit_instance
 from totipm.ipm import SolverError
 from totipm.polytope import MarginalProblem
 
@@ -16,7 +16,7 @@ def matching_instance(tmp_path):
         marginals=(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
     )
     path = tmp_path / "matching.json"
-    save_instance(problem, path)
+    path.write_text(emit_instance(problem), encoding="utf-8")
     return str(path)
 
 
@@ -60,6 +60,16 @@ class TestSolveCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "cost" in err or "marginals" in err
+
+    @pytest.mark.parametrize("vector", [[1e308, 1e308], [1e308, 1e-308]])
+    def test_marginal_normalizing_to_zero_exits_2(self, tmp_path, capsys, vector):
+        bad = tmp_path / "bad.json"
+        doc = {"dims": [2, 2], "variant": "U", "cost": [0, 1, 1, 0], "marginals": [vector, [0.5, 0.5]]}
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: instance field 'marginals'")
+        assert "Traceback" not in err
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

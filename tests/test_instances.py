@@ -13,7 +13,6 @@ from totipm.instances import (
     parse_instance,
     random_instance,
     report_to_dict,
-    save_instance,
 )
 from totipm.ipm import SolverConfig, short_step_solve
 from totipm.polytope import MarginalProblem
@@ -81,7 +80,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         problem = random_instance((2, 2), "U", SplitMix64(5), "random")
         path = tmp_path / "inst.json"
-        save_instance(problem, path)
+        path.write_text(emit_instance(problem), encoding="utf-8")
         back = load_instance(path)
         assert np.array_equal(back.cost, problem.cost)
 
@@ -160,6 +159,20 @@ class TestRenormalization:
         err = capsys.readouterr().err
         assert "renormalizing" in err
         assert problem.marginals[0] == pytest.approx([0.5, 0.5], abs=1e-15)
+
+
+    @pytest.mark.parametrize("vector", [[1e308, 1e308], [1e308, 1e-308]])
+    def test_marginal_normalizing_to_zero_rejected(self, vector):
+        # the first sum overflows to inf, the second entry of the second
+        # underflows beside its sum: either way an entry normalizes to 0
+        doc = {
+            "dims": [2, 2],
+            "variant": "U",
+            "cost": [0.0, 1.0, 1.0, 0.0],
+            "marginals": [vector, [0.5, 0.5]],
+        }
+        with pytest.raises(InstanceFormatError, match="marginals.*vector 0"):
+            parse_instance(json.dumps(doc))
 
 
 class TestRandomInstance:

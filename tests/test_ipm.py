@@ -543,6 +543,8 @@ class TestPredictedIterations:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             predicted_iterations(uniform_problem((2, 2)), 0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            predicted_iterations(uniform_problem((2, 2)), float("inf"))
 
     def test_rejects_nan_epsilon(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from totipm.oracle import (
     solve_lp,
     to_lp,
 )
-from totipm.polytope import MarginalProblem, null_basis, start_point
+from totipm.polytope import MarginalProblem, null_basis_matrix, start_point
 
 
 def uniform_problem(dims, cost, variant="U"):
@@ -109,7 +109,7 @@ class TestSimplexAgainstEnumeration:
         for _ in range(5):
             problem = random_problem((2, 2, 2), rng, variant="V")
             base = start_point(problem)
-            (direction,) = null_basis(problem)
+            (direction,) = null_basis_matrix(problem).T.reshape((-1,) + problem.dims)
             c = problem.cost
             lo = -np.inf
             hi = np.inf

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,22 +8,28 @@ from totipm.oracle import solve_lp
 from totipm.polytope import (
     ConstraintSystem,
     MarginalProblem,
-    centering_project,
-    null_basis,
     null_basis_matrix,
     null_space_dim,
     random_interior_point,
-    residual,
     residual_norm,
     start_point,
 )
-from totipm.tensor import frobenius_norm, inner, outer
 
 
 def uniform_problem(dims, variant="U", cost=None):
     cost = np.zeros(dims) if cost is None else cost
     marginals = tuple(np.full(n, 1.0 / n) for n in dims)
     return MarginalProblem(cost=cost, marginals=marginals, variant=variant)
+
+
+def null_basis(problem):
+    """The columns of null_basis_matrix, each reshaped to the tensor shape."""
+    return null_basis_matrix(problem).T.reshape((-1,) + problem.dims)
+
+
+def differences(n):
+    """The n x (n - 1) matrix whose columns are e_i - e_{i+1}."""
+    return np.eye(n, n - 1) - np.eye(n, n - 1, -1)
 
 
 class TestMarginalProblem:
@@ -84,8 +92,7 @@ class TestStartPoint:
             cost=np.zeros((2, 2)),
             marginals=(np.array([0.2, 0.8]), np.array([0.3, 0.7])),
         )
-        for r in residual(problem, start_point(problem)):
-            assert np.abs(r).max() <= 1e-14
+        assert residual_norm(problem, start_point(problem)) <= 1e-14
 
 
 class TestResidual:
@@ -96,26 +103,33 @@ class TestResidual:
 
     def test_null_perturbation_invariant(self):
         rng = np.random.default_rng(21)
-        for variant in ("U", "V"):
-            problem = uniform_problem((3, 3), variant=variant)
-            base = start_point(problem)
-            for element in null_basis(problem):
-                moved = base + 0.01 * rng.uniform(-1, 1) * element
-                before = residual(problem, base)
-                after = residual(problem, moved)
-                for rb, ra in zip(before, after):
-                    assert np.abs(ra - rb).max() <= 1e-12
+        for dims in [(3, 3), (2, 3, 2)]:
+            for variant in ("U", "V"):
+                problem = uniform_problem(dims, variant=variant)
+                base = start_point(problem)
+                for element in null_basis(problem):
+                    moved = base + 0.01 * rng.uniform(-1, 1) * element
+                    assert residual_norm(problem, moved) <= 1e-12
 
     def test_v_variant_targets(self):
         p = np.array([0.2, 0.8])
         q = np.array([0.3, 0.7])
         r = np.array([0.5, 0.5])
-        problem = MarginalProblem(cost=np.zeros((2, 2, 2)), marginals=(p, q, r), variant="V")
-        res = residual(problem, start_point(problem))
-        assert len(res) == 3
-        assert res[0].shape == (2, 2)
-        for t in res:
-            assert np.abs(t).max() <= 1e-14
+        u_problem, v_problem = (
+            MarginalProblem(cost=np.zeros((2, 2, 2)), marginals=(p, q, r), variant=variant)
+            for variant in "UV"
+        )
+        assert residual_norm(v_problem, start_point(v_problem)) <= 1e-14
+        # differences at modes 0 and 1, constant along mode 2, keep every
+        # marginal; their sums along mode 2 are 2 d d^T, of norm 4
+        d = differences(2)[:, 0]
+        moved = start_point(v_problem) + 0.01 * np.multiply.outer(np.outer(d, d), np.ones(2))
+        assert residual_norm(u_problem, moved) <= 1e-14
+        assert residual_norm(v_problem, moved) == pytest.approx(0.04, abs=1e-14)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="expected shape"):
+            residual_norm(uniform_problem((2, 3)), np.zeros((3, 2)))
 
 
 class TestAdjoint:
@@ -136,8 +150,7 @@ class TestAdjoint:
             problem = uniform_problem(dims)
             system = ConstraintSystem(problem)
             adj = system.adjoint(rng.normal(size=system.n_rows))
-            for element in null_basis(problem):
-                assert abs(inner(adj.reshape(dims), element)) <= 1e-12
+            assert np.abs(adj @ null_basis_matrix(problem)).max() <= 1e-12
 
 
 class TestMarginalOperator:
@@ -203,8 +216,7 @@ class TestNullBasis:
         mat = null_basis_matrix(problem)
         assert np.linalg.matrix_rank(mat) == 4
         system = ConstraintSystem(problem)
-        for element in basis:
-            assert np.abs(system.matrix @ element.ravel()).max() <= 1e-12
+        assert not np.any(system.matrix @ mat)
 
     def test_counts_match_formulas(self):
         for dims in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3)]:
@@ -222,6 +234,22 @@ class TestNullBasis:
             for variant in ("U", "V"):
                 problem = uniform_problem(dims, variant=variant)
                 assert null_space_dim(problem) == len(null_basis(problem))
+
+    @pytest.mark.parametrize("variant", ["U", "V"])
+    @pytest.mark.parametrize(
+        "dims", [(2,), (1, 4), (3, 3), (2, 2, 2), (3, 2, 2), (2, 3, 4), (2, 3, 2, 3), (4, 4, 4)]
+    )
+    def test_exact_kronecker_basis(self, dims, variant):
+        problem = uniform_problem(dims, variant=variant)
+        basis = null_basis_matrix(problem)
+        rank = np.linalg.matrix_rank(basis) if basis.size else 0
+        assert basis.shape == (problem.size, null_space_dim(problem))
+        assert rank == null_space_dim(problem)
+        # 0/1 rows against columns of 0 and +-1: the products are exact
+        assert not np.any(problem.constraints.matrix @ basis)
+        if variant == "V" or len(dims) == 2:
+            expected = functools.reduce(np.kron, [differences(n) for n in dims])
+            assert np.array_equal(basis, expected)
 
 
 class TestConstraintSystem:
@@ -321,28 +349,6 @@ class TestFeasible:
         assert residual_norm(problem, result.x.reshape(3, 3)) <= 1e-8
 
 
-class TestCenteringProject:
-    def test_idempotent(self):
-        rng = np.random.default_rng(25)
-        t = rng.normal(size=(3, 4))
-        proj = centering_project(t)
-        assert np.abs(centering_project(proj) - proj).max() <= 1e-12
-
-    def test_range_is_null_basis_span(self):
-        rng = np.random.default_rng(26)
-        problem = uniform_problem((3, 3), variant="V")
-        basis = null_basis_matrix(problem)
-        q, _ = np.linalg.qr(basis)
-        for _ in range(5):
-            t = rng.normal(size=(3, 3))
-            proj = centering_project(t).ravel()
-            back = q @ (q.T @ proj)
-            assert np.abs(back - proj).max() <= 1e-10
-        for j in range(basis.shape[1]):
-            e = basis[:, j].reshape(3, 3)
-            assert np.abs(centering_project(e) - e).max() <= 1e-10
-
-
 class TestRandomInteriorPoint:
     def test_positive_and_feasible(self):
         rng = np.random.default_rng(27)
@@ -366,6 +372,6 @@ class TestVertexDistanceBand:
                 cost = rng.integers(0, 10, size=dims).astype(float)
                 problem = MarginalProblem(cost=cost, marginals=tuple(p_list))
                 vertex = solve_lp(problem).x.reshape(dims)
-                dist = frobenius_norm(start_point(problem) - vertex)
+                dist = np.linalg.norm(start_point(problem) - vertex)
                 min_prod = float(np.prod([p.min() for p in p_list]))
                 assert min_prod - 1e-12 <= dist <= np.sqrt(2.0) + 1e-12

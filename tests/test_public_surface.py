@@ -1,6 +1,7 @@
 """The public surface: every ``__all__`` entry resolves, the package
-itself re-exports only the solve path, and the solver's settings and the
-solve command's options are a fixed set."""
+itself re-exports only the solve path, and its submodules, the names of
+``polytope`` and ``instances``, the solver's settings and the solve
+command's options are fixed sets."""
 
 import argparse
 import dataclasses
@@ -31,6 +32,29 @@ PACKAGE_NAMES = {
     "__version__",
 }
 
+SUBMODULES = {"barrier", "cli", "instances", "ipm", "oracle", "polytope", "verify"}
+
+POLYTOPE_NAMES = [
+    "MarginalProblem",
+    "ConstraintSystem",
+    "start_point",
+    "residual_norm",
+    "null_basis_matrix",
+    "null_space_dim",
+    "random_interior_point",
+]
+
+INSTANCES_NAMES = [
+    "InstanceFormatError",
+    "SplitMix64",
+    "parse_instance",
+    "load_instance",
+    "emit_instance",
+    "random_instance",
+    "report_to_dict",
+    "emit_report",
+]
+
 MODULES = ["totipm"] + [f"totipm.{m.name}" for m in pkgutil.iter_modules(totipm.__path__)]
 
 
@@ -45,6 +69,17 @@ def test_star_import_binds_all(name):
     assert set(namespace) == set(module.__all__)
     if name == "totipm":
         assert set(namespace) == PACKAGE_NAMES
+
+
+def test_submodules():
+    assert {m.name for m in pkgutil.iter_modules(totipm.__path__)} == SUBMODULES
+
+
+@pytest.mark.parametrize(
+    "name, names", [("polytope", POLYTOPE_NAMES), ("instances", INSTANCES_NAMES)]
+)
+def test_module_names(name, names):
+    assert importlib.import_module(f"totipm.{name}").__all__ == names
 
 
 def test_solver_config_fields():
