@@ -139,6 +139,11 @@ def _benchmark_command(args) -> int:
     if any(math.prod((n,) * args.d) > _MAX_BENCHMARK_ENTRIES for n in args.sizes):
         print(f"error: n**d must be at most {_MAX_BENCHMARK_ENTRIES}", file=sys.stderr)
         return 2
+    try:
+        config = SolverConfig(epsilon=args.epsilon)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     # all instances are drawn from one stream before any solve starts, so the
     # table is a pure function of (d, sizes, trials, marginals, seed)
@@ -148,11 +153,6 @@ def _benchmark_command(args) -> int:
         for trial in range(args.trials):
             jobs.append((n, trial, random_instance((n,) * args.d, "U", rng, args.marginals)))
 
-    try:
-        config = SolverConfig(epsilon=args.epsilon)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     results = []
     try:
         for n, trial, problem in jobs:

@@ -1,10 +1,12 @@
 """Short-step path-following interior point solver on the marginal slice.
 
 Minimizes f_eta(u) = eta <c, u> + sigma(u), sigma the log barrier, over the
-affine slice of a marginal problem.  Phase I centers at eta = 1 starting
-from the product of the marginals; Phase II raises eta and restores
-proximity with a single Newton step, keeping the decrement at or below beta.
-It stops once theta / eta <= epsilon, at which point the objective is within
+affine slice of a marginal problem, in one loop of Newton steps with one
+factor per iterate.  Until the iterate is centered (Phase I) it takes
+damped steps at eta = 1 from the product of the marginals; from the
+centered iterate on (Phase II) each step raises eta and restores proximity
+with a single full Newton step, keeping the decrement at or below beta.  It
+stops once theta / eta <= epsilon, at which point the objective is within
 epsilon of the optimum.
 
 Each Phase II step picks its eta from the factor at the current iterate.
@@ -34,11 +36,11 @@ the total for "U", the independent mode sums for "V").  On small problems
 it multiplies by its dense 0/1 rows; above a size crossover it never forms
 them, applying A as partial sums, A^T as broadcast sums, and gathering
 M = A diag(u^2) A^T from the sums of u^2 over the modes each pair of rows
-leaves free.  LAPACK potrf factors M once per iterate, and both Phase II
-solves (at eta, for the trace decrement, and at eta * growth) share that
-factor as two right-hand sides; the line through them gives the step at the
-chosen eta.  Squaring the condition number this way is made safe by two
-measures:
+leaves free.  LAPACK potrf factors M once per iterate, and both solves (at
+eta, for the decrement and the Phase I step, and at eta * growth) share that
+factor as two right-hand sides; in Phase II the line through them gives the
+step at the chosen eta.  Squaring the condition number this way is made
+safe by two measures:
 
 * warm start: the first solve is for the correction to the previous
   iterate's multipliers, extrapolated in eta (at a fixed iterate y is affine
@@ -116,11 +118,6 @@ DEFAULT_C0 = 16.0
 
 # entries this small mean the iterate has effectively hit the boundary
 _FLOOR = 1e-300
-
-# hard ceiling on the post-step decrement; the theory keeps it at or below
-# beta <= 1/4 (a short step with gamma = 1/16, or a step from decrement
-# sqrt(beta) / (1 + sqrt(beta))), so reaching 1/2 means broken constants
-_SAFETY_DECREMENT = 0.5
 
 # centering runs full Newton steps until the decrement is this small
 _CENTER_TOL = 1e-10
@@ -271,11 +268,8 @@ class _NewtonWorkspace:
         if self.last is None:
             return np.zeros((len(etas), self.op.n_rows))
         old_etas, y = self.last
-        first, last = old_etas[0], old_etas[-1]
-        if first == last:
-            return y[[0] * len(etas)]
-        slope = (y[-1] - y[0]) / (last - first)
-        return np.multiply.outer(np.subtract(etas, first), slope) + y[0]
+        slope = (y[1] - y[0]) / (old_etas[1] - old_etas[0])
+        return np.multiply.outer(np.subtract(etas, old_etas[0]), slope) + y[0]
 
 
 def _check_domain(u):
@@ -331,20 +325,24 @@ def _next_eta(gram, eta, growth, radius, eta_stop):
 def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = None, observer=None) -> SolveReport:
     """Run the full path-following method and return the solve report.
 
-    Phase I centers at eta = 1 from the product of the marginals: damped
-    Newton steps delta / (1 + decrement) while the decrement exceeds
-    decrement_beta (these stay strictly feasible by self-concordance), then
-    full steps down to a decrement of 1e-10.  Each Phase II step raises eta
-    by at least the fixed factor (1 + (1/16) / sqrt(theta)), and further
-    while the decrement at the current iterate stays at most
-    sqrt(beta) / (1 + sqrt(beta)) (see the module docstring).  The trace
-    holds one row after Phase I and one per Phase II step: (eta, decrement,
-    objective, theta/eta), with the decrement measured at the recorded
-    iterate and eta.  ``observer``, if given, is called with the PathState
-    of every trace row; the first call's iteration is the Phase I step
-    count.  Raises StepSizeViolationError if a step leaves the decrement
-    above decrement_beta, and NonConvergenceError if max_iterations runs
-    out, in Phase I ("centering at eta ...") or in Phase II.
+    One loop factors once per iterate, for the scaled steps at eta and at
+    eta * growth, growth = 1 + (1/16) / sqrt(theta).  While the decrement
+    at eta exceeds 1e-10 it centers at eta = 1 from the product of the
+    marginals (Phase I): damped steps delta / (1 + decrement) while the
+    decrement exceeds decrement_beta (these stay strictly feasible by
+    self-concordance), full steps after.  Every iterate from the centered
+    one on (Phase II) is checked against decrement_beta and recorded as a
+    trace row (eta, decrement, objective, theta/eta); the solve stops once
+    theta/eta <= epsilon, and otherwise takes a full Newton step to an eta
+    of at least eta * growth, further while the decrement at the current
+    iterate stays at most sqrt(beta) / (1 + sqrt(beta)) (see the module
+    docstring).  The factor that ends Phase I starts Phase II: a solve
+    makes iterations + 1 factorizations.  ``observer``, if given, is called
+    with the PathState of every trace row; the first call's iteration is
+    the Phase I step count.  Raises StepSizeViolationError if a recorded
+    decrement exceeds decrement_beta, and NonConvergenceError if
+    max_iterations runs out, in Phase I ("centering at eta ...") or in
+    Phase II ("gap bound still ...").
     """
     config = config or SolverConfig()
     # the barrier's complexity value; the gap bound theta / eta certifies
@@ -352,67 +350,49 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
     theta = float(problem.size)
     workspace = _NewtonWorkspace(problem)
     cost = problem.cost.ravel()
-
-    # Phase I: damped Newton at eta = 1 from the product tensor
-    eta = 1.0
-    u = start_point(problem).ravel()
-    steps = 0
-    while True:
-        w = workspace.scaled_steps(u, (eta,))[0]
-        dec = math.sqrt(w @ w)
-        if dec <= _CENTER_TOL:
-            break
-        if steps >= config.max_iterations:
-            raise NonConvergenceError(
-                f"centering at eta {eta!r} still at decrement {dec!r} after {steps} steps"
-            )
-        delta = u * w
-        u = u + (delta / (1.0 + dec) if dec > config.decrement_beta else delta)
-        _check_domain(u)
-        steps += 1
-
-    trace = [TraceRow(eta, dec, float(cost @ u), theta / eta)]
-    if observer is not None:
-        observer(PathState(eta=eta, point=u.reshape(problem.dims), decrement=dec, iteration=steps))
-
     growth = 1.0 + _SHORT_STEP_GAMMA / math.sqrt(theta)
     # a full Newton step from decrement <= radius lands at decrement <= beta
     root_beta = math.sqrt(config.decrement_beta)
     radius = root_beta / (1.0 + root_beta)
     eta_stop = theta / config.epsilon
 
-    # Phase II: pick the next eta from the factor at the iterate, take one
-    # Newton step, verify proximity.  The factorization depends on the
-    # iterate only, so one factor yields the scaled steps at eta (the trace
-    # decrement) and at eta*growth, and the line through them the step at
-    # any other eta.  The first call factors the centered point again.
-    w = workspace.scaled_steps(u, (eta, eta * growth))
-    gram = w @ w.T
-    while theta / eta > config.epsilon:
-        if steps >= config.max_iterations:
-            raise NonConvergenceError(
-                f"gap bound still {theta / eta!r} after {steps} steps"
-            )
-        t, eta = _next_eta(gram, eta, growth, radius, eta_stop)
-        u = u + u * (w[0] + t * (w[1] - w[0]))
-        _check_domain(u)
-        steps += 1
+    eta = 1.0
+    u = start_point(problem).ravel()
+    steps = 0
+    trace = []
+    while True:
+        # the factor depends on the iterate only: it yields the scaled steps
+        # at eta and at eta * growth, and the line through them the step at
+        # any other eta
         w = workspace.scaled_steps(u, (eta, eta * growth))
         gram = w @ w.T
         dec = math.sqrt(gram[0, 0])
-        if dec > _SAFETY_DECREMENT:
-            raise StepSizeViolationError(
-                f"decrement {dec!r} after a short step exceeds the safety bound "
-                f"{_SAFETY_DECREMENT}; step constants are not in the safe region"
+        # a nonempty trace means Phase I has ended
+        if trace or dec <= _CENTER_TOL:
+            if dec > config.decrement_beta:
+                raise StepSizeViolationError(
+                    f"decrement {dec!r} at eta {eta!r} exceeds decrement_beta "
+                    f"{config.decrement_beta!r}"
+                )
+            trace.append(TraceRow(eta, dec, float(cost @ u), theta / eta))
+            if observer is not None:
+                observer(PathState(eta=eta, point=u.reshape(problem.dims), decrement=dec, iteration=steps))
+            if theta / eta <= config.epsilon:
+                break
+        if steps >= config.max_iterations:
+            raise NonConvergenceError(
+                f"gap bound still {theta / eta!r} after {steps} steps"
+                if trace
+                else f"centering at eta {eta!r} still at decrement {dec!r} after {steps} steps"
             )
-        if dec > config.decrement_beta:
-            raise StepSizeViolationError(
-                f"decrement {dec!r} after a short step exceeds decrement_beta "
-                f"{config.decrement_beta!r}"
-            )
-        trace.append(TraceRow(eta, dec, float(cost @ u), theta / eta))
-        if observer is not None:
-            observer(PathState(eta=eta, point=u.reshape(problem.dims), decrement=dec, iteration=steps))
+        if trace:
+            t, eta = _next_eta(gram, eta, growth, radius, eta_stop)
+            u = u + u * (w[0] + t * (w[1] - w[0]))
+        else:
+            delta = u * w[0]
+            u = u + (delta / (1.0 + dec) if dec > config.decrement_beta else delta)
+        _check_domain(u)
+        steps += 1
 
     return SolveReport(
         value=float(cost @ u),

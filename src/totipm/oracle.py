@@ -54,7 +54,6 @@ class SimplexResult:
     value: float
     x: np.ndarray
     dual: np.ndarray
-    basis: np.ndarray
 
 
 def to_lp(problem: MarginalProblem) -> StandardFormLP:
@@ -66,7 +65,7 @@ def to_lp(problem: MarginalProblem) -> StandardFormLP:
     )
 
 
-def _pivot_once(a, b, c, basis, allowed):
+def _pivot_once(a, b, c, basis):
     """One Bland pivot.  Returns "optimal", "unbounded" or "pivoted"."""
     m, n = a.shape
     lu, piv, info = _getrf(a[:, basis])
@@ -79,7 +78,7 @@ def _pivot_once(a, b, c, basis, allowed):
 
     entering = -1
     for j in range(n):
-        if j in allowed and reduced[j] < -COST_TOL:
+        if reduced[j] < -COST_TOL:
             entering = j
             break
     if entering < 0:
@@ -105,11 +104,11 @@ def _pivot_once(a, b, c, basis, allowed):
     return "pivoted", basis
 
 
-def _run_simplex(a, b, c, basis, allowed):
+def _run_simplex(a, b, c, basis):
     m, n = a.shape
     limit = _MAX_PIVOTS_FACTOR * (m + n) * max(m, 1)
     for _ in range(limit):
-        status, basis = _pivot_once(a, b, c, basis, allowed)
+        status, basis = _pivot_once(a, b, c, basis)
         if status != "pivoted":
             return status, basis
     raise RuntimeError("simplex exceeded its pivot budget; Bland's rule should prevent this")
@@ -131,8 +130,7 @@ def simplex_solve(lp: StandardFormLP) -> SimplexResult:
     a1 = np.hstack([a, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
-    allowed = set(range(n + m))
-    status, basis = _run_simplex(a1, b, c1, basis, allowed)
+    status, basis = _run_simplex(a1, b, c1, basis)
     if status != "optimal":
         raise RuntimeError(f"phase 1 ended with status {status!r}")
     xb = np.linalg.solve(a1[:, basis], b)
@@ -143,7 +141,6 @@ def simplex_solve(lp: StandardFormLP) -> SimplexResult:
             value=np.inf,
             x=np.full(n, np.nan),
             dual=np.full(m, np.nan),
-            basis=basis.copy(),
         )
 
     # drive any artificial still basic at zero level out of the basis; the
@@ -165,8 +162,7 @@ def simplex_solve(lp: StandardFormLP) -> SimplexResult:
             )
 
     # phase 2 over the original columns only
-    allowed = set(range(n))
-    status, basis = _run_simplex(a, b, c, basis, allowed)
+    status, basis = _run_simplex(a, b, c, basis)
     x = np.zeros(n)
     xb = np.linalg.solve(a[:, basis], b)
     x[basis] = xb
@@ -176,7 +172,6 @@ def simplex_solve(lp: StandardFormLP) -> SimplexResult:
             value=-np.inf,
             x=np.full(n, np.nan),
             dual=np.full(m, np.nan),
-            basis=basis.copy(),
         )
     y = np.linalg.solve(a[:, basis].T, c[basis])
     y[flip] = -y[flip]
@@ -185,7 +180,6 @@ def simplex_solve(lp: StandardFormLP) -> SimplexResult:
         value=float(c @ x),
         x=x,
         dual=y,
-        basis=basis.copy(),
     )
 
 

@@ -207,6 +207,15 @@ class TestBenchmarkCommand:
             assert cli.main(["benchmark", "--sizes", "3", "--epsilon", epsilon]) == 2
             assert "epsilon must be positive and finite" in capsys.readouterr().err
 
+    def test_bad_epsilon_exits_2_before_drawing(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("instance drawn")
+
+        monkeypatch.setattr(cli, "random_instance", refuse)
+        argv = ["benchmark", "--sizes", "1000", "--trials", "2", "--epsilon", "0"]
+        assert cli.main(argv) == 2
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+
     def test_solver_failure_exits_3(self, capsys, monkeypatch):
         def boom(problem, config):
             raise SolverError("induced failure")

@@ -490,6 +490,24 @@ class TestShortStepSolve:
         assert len(states) == len(report.trace)
         assert states[-1].iteration == report.iterations
 
+    def test_one_factor_per_iterate(self, monkeypatch):
+        # the factor that ends Phase I starts Phase II: one factor at the
+        # start point and one after each step
+        calls = []
+        scaled_steps = ipm._NewtonWorkspace.scaled_steps
+
+        def counted(workspace, u, etas):
+            calls.append(len(etas))
+            return scaled_steps(workspace, u, etas)
+
+        monkeypatch.setattr(ipm._NewtonWorkspace, "scaled_steps", counted)
+        rng = np.random.default_rng(73)
+        for variant in ("U", "V"):
+            calls.clear()
+            report = short_step_solve(random_problem((3, 4), rng, variant))
+            assert len(calls) == report.iterations + 1
+            assert set(calls) == {2}
+
     def test_v_certifies_near_rounding_floor(self):
         # V instances near the rounding floor at eps 1e-8: solved through a
         # QR of the null basis, each one's decrement exceeded beta
