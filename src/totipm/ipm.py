@@ -51,27 +51,28 @@ safe by two measures:
 * corrected seminormal equations (CSNE, Bjorck 1987): the next solve is on
   the residual recomputed from the vector w itself, and it is repeated
   while it still moves w by more than 1e-9 in norm.  Along a path one step
-  nearly always suffices (all but 4 of 10 659 solves below); from a cold
-  start, as in newton_direction, up to three.
+  nearly always suffices (all but 104 of 11 218 Cholesky solves below);
+  from a cold start, as in newton_direction, up to six.
 
 Near a degenerate vertex M truly loses rank.  A solve therefore switches for
 good, within the same call, to Householder QR of diag(u) A^T, reading the
-step off an orthogonal projection of dg, once potrf breaks down, once the
-LAPACK estimate (pocon) of the reciprocal condition number of M drops below
-1e-12, or once CSNE has not settled after six steps: pocon can miss the
-rank loss by many orders (2e2 estimated against 7e14 measured at one d = 3
-point).  Above the size crossover, the dense rows of A are built only then.
+step off an orthogonal projection of dg, once potrf breaks down or once
+CSNE has not settled after six steps.  Above the size crossover, the dense
+rows of A are built only then.  Until then CSNE keeps to the QR step: at
+1 268 iterates (criterion-1/2 solves, benchmark workloads, a size ladder)
+where potrf held but M's reciprocal condition fell below 1e-12, to 6e-17,
+the scaled steps agreed with the QR ones to 1.9e-8.
 The switch is one-way: toward the vertex M only gets worse, and retrying
 Cholesky at every later step found it usable for 119 of 8 778 QR steps
 after the switch (measured with the fixed short step).  Measured on the 50
 criterion-1 instances at epsilon 1e-8: without the tail 16 fail; with it
-all certify, 16 enter the tail, QR takes 1 363 of 10 049 factorizations,
-and the decrement agrees with the QR one to 2.3e-7 at 1 393 sampled path
-points, warm or from a fresh workspace.  On the 20 criterion-2 (variant V)
-instances at epsilon 1e-8: without the tail 6 fail; with it all certify, 6
-enter the tail, QR takes 287 of 2 190 factorizations, and the decrement
-agrees with the QR one to 7.9e-8 at 615 sampled path points, warm or
-fresh.
+all certify, 16 enter the tail, each on unsettled CSNE, QR takes 850 of
+10 048 factorizations, and the decrement agrees with the QR one to 3.4e-7
+at 1 393 sampled path points, warm or from a fresh workspace.  On the 20
+criterion-2 (variant V) instances at epsilon 1e-8: without the tail 6
+fail; with it all certify, 6 enter the tail, each on unsettled CSNE, QR
+takes 170 of 2 190 factorizations, and the decrement agrees with the QR
+one to 9.6e-8 at 615 sampled path points, warm or fresh.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -130,11 +132,9 @@ _CENTER_TOL = 1e-10
 # in w1 - w0 then put the last iterate 1.9e-8 off the slice
 _MAX_EXTRAPOLATION = 1e4
 
-# a solve leaves Cholesky for QR, for good, once potrf breaks down, the
-# normal matrix's reciprocal condition estimate drops below _RCOND_FLOOR, or
-# CSNE refinement has not settled after _MAX_CSNE_STEPS steps (see the
-# module docstring)
-_RCOND_FLOOR = 1e-12
+# a solve leaves Cholesky for QR, for good, once potrf breaks down or CSNE
+# refinement has not settled after _MAX_CSNE_STEPS steps (see the module
+# docstring)
 _MAX_CSNE_STEPS = 6
 
 # a CSNE step that moves the scaled steps w by at most this in norm ends the
@@ -142,9 +142,7 @@ _MAX_CSNE_STEPS = 6
 # agreement with QR
 _CSNE_SETTLED = 1e-9
 
-_potrf, _potrs, _pocon = scipy.linalg.lapack.get_lapack_funcs(
-    ("potrf", "potrs", "pocon"), dtype=np.float64
-)
+_potrf, _potrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 class SolverError(RuntimeError):
@@ -162,15 +160,14 @@ class StepSizeViolationError(SolverError):
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-6
-    decrement_beta: float = 0.25
     max_iterations: int = 200_000
+    # the proximity bound: every trace row's decrement is at most this
+    decrement_beta: ClassVar[float] = 0.25
 
     def __post_init__(self):
         # written so that NaN fails the checks too
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if not 0.0 < self.decrement_beta <= 0.25:
-            raise ValueError("decrement_beta must lie in (0, 1/4]")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -221,12 +218,8 @@ class _NewtonWorkspace:
         op = self.op
         dg = np.multiply.outer(etas, u * self.cost) - 1.0
         if self.rows is None:
-            normal = op.normal_matrix(u * u)
-            chol, info = _potrf(normal, lower=1, clean=0)
+            chol, info = _potrf(op.normal_matrix(u * u), lower=1, clean=0)
             if info == 0:
-                # M is entrywise nonnegative: its 1-norm is its largest column sum
-                rcond, info = _pocon(chol, normal.sum(axis=0).max(), uplo="L")
-            if info == 0 and rcond >= _RCOND_FLOOR:
                 # w = diag(u) A^T y - dg with A (u + u w) = b: the step lands
                 # on the slice, so rounding drift off it cannot accumulate.
                 # The first pass solves for the correction to the warm
@@ -248,7 +241,7 @@ class _NewtonWorkspace:
                     if passes and np.vdot(step, step) <= _CSNE_SETTLED**2:
                         self.last = (etas, y)
                         return w
-            # M is singular, or closer to it than its condition estimate says
+            # M is singular, or too close to it for CSNE to settle
             self.start_tail()
         # QR tail: the step read off an orthogonal projection of dg
         q, r = scipy.linalg.qr(u[:, None] * self.rows.T, mode="economic")
@@ -335,14 +328,15 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
     trace row (eta, decrement, objective, theta/eta); the solve stops once
     theta/eta <= epsilon, and otherwise takes a full Newton step to an eta
     of at least eta * growth, further while the decrement at the current
-    iterate stays at most sqrt(beta) / (1 + sqrt(beta)) (see the module
-    docstring).  The factor that ends Phase I starts Phase II: a solve
-    makes iterations + 1 factorizations.  ``observer``, if given, is called
-    with the PathState of every trace row; the first call's iteration is
-    the Phase I step count.  Raises StepSizeViolationError if a recorded
-    decrement exceeds decrement_beta, and NonConvergenceError if
-    max_iterations runs out, in Phase I ("centering at eta ...") or in
-    Phase II ("gap bound still ...").
+    iterate stays at most sqrt(beta) / (1 + sqrt(beta)) = 1/3 (see the
+    module docstring).  The factor that ends Phase I starts Phase II: a
+    solve makes iterations + 1 factorizations.  ``observer``, if given, is
+    called with the PathState of every trace row; the first call's
+    iteration is the Phase I step count.  Raises SolverError if a decrement
+    is not finite (costs so large that the Newton step overflows),
+    StepSizeViolationError if a recorded decrement exceeds decrement_beta,
+    and NonConvergenceError if max_iterations runs out, in Phase I
+    ("centering at eta ...") or in Phase II ("gap bound still ...").
     """
     config = config or SolverConfig()
     # the barrier's complexity value; the gap bound theta / eta certifies
@@ -351,9 +345,8 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
     workspace = _NewtonWorkspace(problem)
     cost = problem.cost.ravel()
     growth = 1.0 + _SHORT_STEP_GAMMA / math.sqrt(theta)
-    # a full Newton step from decrement <= radius lands at decrement <= beta
-    root_beta = math.sqrt(config.decrement_beta)
-    radius = root_beta / (1.0 + root_beta)
+    # sqrt(beta) / (1 + sqrt(beta)): a full Newton step from there lands at beta
+    radius = 1.0 / 3.0
     eta_stop = theta / config.epsilon
 
     eta = 1.0
@@ -367,6 +360,12 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
         w = workspace.scaled_steps(u, (eta, eta * growth))
         gram = w @ w.T
         dec = math.sqrt(gram[0, 0])
+        if not math.isfinite(dec):
+            # a damped step delta / (1 + inf) would not move the iterate
+            raise SolverError(
+                f"decrement {dec!r} at eta {eta!r} is not finite: the Newton step "
+                f"overflows at cost scale {float(np.abs(cost).max())!r}"
+            )
         # a nonempty trace means Phase I has ended
         if trace or dec <= _CENTER_TOL:
             if dec > config.decrement_beta:

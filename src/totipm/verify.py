@@ -201,7 +201,8 @@ def _path_checks(name, problem) -> list:
     audit = path_audit([problem])
     return [
         (f"{name}:value", audit.value_gap <= 1e-6, f"|ipm - simplex| = {audit.value_gap!r}"),
-        (f"{name}:trace", audit.max_decrement <= 0.25 and audit.max_gap_excess <= 1e-8,
+        (f"{name}:trace",
+         audit.max_decrement <= SolverConfig.decrement_beta and audit.max_gap_excess <= 1e-8,
          f"max decrement = {audit.max_decrement!r}, max gap excess = {audit.max_gap_excess!r}"),
         (f"{name}:feasibility", audit.max_residual <= 1e-8 and audit.min_entry > 0.0,
          f"max residual = {audit.max_residual!r}, min entry = {audit.min_entry!r}"),

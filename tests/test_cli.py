@@ -112,7 +112,14 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_exits_2(self, matching_instance, capsys):
-        assert cli.main(["solve", matching_instance, "--beta", "0.5"]) == 2
+        assert cli.main(["solve", matching_instance, "--epsilon", "0"]) == 2
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+
+    def test_beta_is_not_an_option(self, matching_instance, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["solve", matching_instance, "--beta", "0.25"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --beta" in capsys.readouterr().err
 
     def test_nan_epsilon_exits_2(self, matching_instance, capsys):
         for epsilon in ("nan", "inf"):
@@ -126,6 +133,17 @@ class TestSolveCommand:
         monkeypatch.setattr(cli, "short_step_solve", boom)
         assert cli.main(["solve", matching_instance]) == 3
         assert "induced failure" in capsys.readouterr().err
+
+    def test_overflowing_costs_exit_3(self, tmp_path, capsys):
+        problem = MarginalProblem(
+            cost=np.array([[1e200, 0.0], [0.0, 1e200]]),
+            marginals=(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+        )
+        path = tmp_path / "overflow.json"
+        path.write_text(emit_instance(problem), encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert cli.main(["solve", str(path)]) == 3
+        assert "is not finite" in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:

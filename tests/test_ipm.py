@@ -66,7 +66,8 @@ class TestSolverConfig:
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        # decrement_beta is a class constant, not a setting
+        with pytest.raises(TypeError if "decrement_beta" in kwargs else ValueError):
             SolverConfig(**kwargs)
 
 
@@ -161,8 +162,8 @@ class TestNewtonDirection:
 # criterion-1 trials whose eps 1e-8 paths end at a degenerate vertex, where
 # the normal matrix loses rank: without the QR tail they fail
 TAIL_TRIALS = (0, 4, 6, 16, 18)
-# further trials to sample, with random marginals and d = 3
-# (44 is one where the condition estimate misses the rank loss)
+# further trials to sample, with random marginals and d = 3 (44 also ends
+# in the tail)
 SAMPLE_TRIALS = TAIL_TRIALS + (5, 27, 33, 44)
 
 
@@ -293,16 +294,36 @@ class TestStructuredNewton:
         assert worst_fresh <= 1e-6
         assert_certified_paths(v_eps8_paths_by_reductions)
 
-    def test_condition_floor_starts_qr_tail(self):
-        # near the vertex of a 2x2 the normal matrix stays positive definite
-        # while its reciprocal condition number falls past 1e-12
+    def test_cholesky_holds_to_qr_until_the_tail(self):
+        # near the vertex of a 2x2 the condition number of the normal matrix
+        # grows like 1 / tiny^2: Cholesky with CSNE still gives the QR step
+        # at 1e-7, and potrf breaks down at 1e-9
         problem = uniform_problem((2, 2))
-        for tiny, tail in ((1e-5, False), (1e-7, True)):
+        etas = (1.0, 3.0)
+        for tiny, tail in ((1e-5, False), (1e-7, False), (1e-9, True)):
             u = np.array([0.5, tiny, tiny, 0.5])
-            np.linalg.cholesky(ConstraintSystem(problem).normal_matrix(u * u))
             workspace = ipm._NewtonWorkspace(problem)
-            workspace.scaled_steps(u, (1.0,))
+            w = workspace.scaled_steps(u, etas)
             assert (workspace.rows is not None) == tail
+            qr = ipm._NewtonWorkspace(problem)
+            qr.start_tail()
+            assert np.abs(w - qr.scaled_steps(u, etas)).max() <= 1e-12
+
+    def test_unsettled_csne_starts_qr_tail(self, monkeypatch):
+        # a CSNE that never settles gives up after _MAX_CSNE_STEPS steps
+        potrs = ipm._potrs
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return potrs(*args, **kwargs)
+
+        monkeypatch.setattr(ipm, "_potrs", counted)
+        monkeypatch.setattr(ipm, "_CSNE_SETTLED", float("nan"))
+        workspace = ipm._NewtonWorkspace(uniform_problem((2, 3)))
+        workspace.scaled_steps(np.full(6, 1.0 / 6.0), (1.0, 3.0))
+        assert workspace.rows is not None
+        assert len(solves) == 1 + ipm._MAX_CSNE_STEPS
 
     def test_warm_start_is_exact_at_a_fixed_iterate(self):
         # the multipliers are affine in eta, so two solved columns give the
@@ -527,6 +548,16 @@ class TestShortStepSolve:
         problem = uniform_problem((2, 2), [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NonConvergenceError):
             short_step_solve(problem, SolverConfig(max_iterations=3))
+
+    def test_overflowing_decrement_fails_fast(self):
+        # w @ w.T overflows to inf, and a damped step delta / (1 + inf)
+        # would leave the iterate where it is until the budget runs out
+        problem = uniform_problem((2, 2), [[1e200, 0.0], [0.0, 1e200]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(SolverError, match="at eta 1.0 is not finite") as failure:
+                short_step_solve(problem)
+        assert not isinstance(failure.value, NonConvergenceError)
+        assert "cost scale 1e+200" in str(failure.value)
 
 
 class TestPredictedIterations:

@@ -85,9 +85,9 @@ def test_module_names(name, names):
 def test_solver_config_fields():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == [
         "epsilon",
-        "decrement_beta",
         "max_iterations",
     ]
+    assert SolverConfig().decrement_beta == 0.25
 
 
 def test_solve_options():
@@ -99,4 +99,4 @@ def test_solve_options():
         if action.dest != "help"
         for option in action.option_strings
     }
-    assert options == {"--epsilon", "--beta", "--trace", "--oracle", "--out"}
+    assert options == {"--epsilon", "--trace", "--oracle", "--out"}
