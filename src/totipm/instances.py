@@ -127,7 +127,12 @@ def parse_instance(text: str) -> MarginalProblem:
     cost = _require(doc, "cost", list)
     if len(cost) != size:
         raise InstanceFormatError("cost", f"has {len(cost)} entries, dims require {size}")
-    cost = np.array(_as_float_list(cost, "cost")).reshape(dims)
+    cost = np.array(_as_float_list(cost, "cost"))
+    try:
+        cost = cost.reshape(dims)
+    except ValueError as exc:
+        # more modes than an ndarray takes: 32 under numpy 1.x, 64 under 2.x
+        raise InstanceFormatError("dims", f"has {len(dims)} modes; {exc}") from exc
 
     marginals_doc = _require(doc, "marginals", list)
     if len(marginals_doc) != len(dims):

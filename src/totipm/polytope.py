@@ -129,7 +129,7 @@ def _row_table(dims, variant) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
-_Sums = namedtuple("_Sums", ["steps", "kept", "used", "index"])
+_Sums = namedtuple("_Sums", ["axes", "kept", "index"])
 
 
 def _sum_layout(dims, fixed, coords, shift=0) -> _Sums:
@@ -137,49 +137,35 @@ def _sum_layout(dims, fixed, coords, shift=0) -> _Sums:
     over the modes j where ``fixed[j, e]`` is false, at ``coords[j, e]`` on
     the others (``coords`` may hold anything on the free modes).
 
-    Every distinct set of kept modes is summed once, from the smallest
-    tensor already summed that keeps its modes (the tensor itself first).
-    ``steps`` holds, per sum, its source and the axes it sums (moved by
-    ``shift`` for a leading batch axis); ``used`` picks the sums the
-    entries read, ``kept`` their kept modes, and ``index`` is each entry's
-    position in their flat concatenation.
+    Each distinct set of kept modes among the entries is summed once,
+    straight from the tensor: ``kept`` holds the sets, ``axes`` the axes
+    each sums (moved by ``shift`` for a leading batch axis), and ``index``
+    each entry's position in the flat concatenation of the sums.  Every
+    table has one row per distinct set, so the layout does not grow with
+    the number of modes.
     """
     d = len(dims)
-    codes = (1 << np.arange(d)) @ fixed
-    present = np.flatnonzero(np.bincount(codes, minlength=1 << d))
-    wanted = [tuple(j for j in range(d) if c >> j & 1) for c in present]
-    order = [tuple(range(d))]
-    steps = []
-    for kept in sorted(set(wanted) - {order[0]}, key=lambda s: (-len(s), s)):
-        source = min(
-            (i for i, s in enumerate(order) if set(kept) <= set(s)),
-            key=lambda i: math.prod(dims[j] for j in order[i]),
-        )
-        axes = tuple(a + shift for a, j in enumerate(order[source]) if j not in kept)
-        steps.append((source, axes))
-        order.append(kept)
-    used = [i for i, s in enumerate(order) if s in wanted]
-    # per set of kept modes: where its sum starts in the concatenation, and
-    # its row-major strides (0 on the free modes)
-    start = np.zeros(1 << d, dtype=np.intp)
-    strides = np.zeros((1 << d, d), dtype=np.intp)
-    offset = 0
-    for i in used:
-        code = sum(1 << j for j in order[i])
-        start[code] = offset
-        for j in order[i]:
-            strides[code, j] = math.prod(dims[k] for k in order[i] if k > j)
-        offset += math.prod(dims[j] for j in order[i])
-    index = start.take(codes) + sum(c * s.take(codes) for c, s in zip(coords, strides.T))
-    return _Sums(steps, [order[i] for i in used], used, index)
+    # one bit per kept mode: an ndarray has at most 64 modes
+    codes = (np.uint64(1) << np.arange(d, dtype=np.uint64)) @ fixed
+    sets, which = np.unique(codes, return_inverse=True)
+    kept = [tuple(j for j in range(d) if int(code) >> j & 1) for code in sets]
+    # per set: where its sum starts in the concatenation, and its row-major
+    # strides (0 on the free modes)
+    start = np.cumsum([0] + [math.prod(dims[j] for j in s) for s in kept[:-1]])
+    strides = np.zeros((len(kept), d), dtype=np.intp)
+    for row, s in zip(strides, kept):
+        for j in s:
+            row[j] = math.prod(dims[k] for k in s if k > j)
+    index = start.take(which) + sum(c * s.take(which) for c, s in zip(coords, strides.T))
+    axes = [tuple(j + shift for j in range(d) if j not in s) for s in kept]
+    return _Sums(axes, kept, index)
 
 
 def _partial_sums(t, sums: _Sums) -> list:
-    """The sums of ``t`` that ``sums`` reads, in its order."""
-    out = [t]
-    for source, axes in sums.steps:
-        out.append(np.add.reduce(out[source], axis=axes))
-    return [out[i] for i in sums.used]
+    """The sums of ``t`` that ``sums`` reads, in its order, each taken
+    straight from ``t`` (``t`` itself where no axis is summed, since a sum
+    over no axes would copy it)."""
+    return [np.add.reduce(t, axis=axes) if axes else t for axes in sums.axes]
 
 
 class ConstraintSystem:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import totipm.cli as cli
-from totipm.instances import emit_instance
+from totipm.instances import SplitMix64, emit_instance, random_instance
 from totipm.ipm import SolverError
 from totipm.polytope import MarginalProblem
 
@@ -95,8 +95,11 @@ class TestSolveCommand:
             ('{"dims": [' + "9" * 5000 + "]}", "document"),
             # nested deeper than the decoder recurses
             ("[" * 100_000 + "]" * 100_000, "document"),
+            # more modes than numpy supports
+            (json.dumps({"dims": [1] * 71 + [2], "variant": "U", "cost": [0, 1],
+                         "marginals": [[1.0]] * 71 + [[0.5, 0.5]]}), "dims"),
         ],
-        ids=["huge-integer", "overflowing-dims", "digit-limit", "deep-nesting"],
+        ids=["huge-integer", "overflowing-dims", "digit-limit", "deep-nesting", "too-many-modes"],
     )
     def test_unrepresentable_instance_exits_2(self, tmp_path, capsys, document, field):
         bad = tmp_path / "bad.json"
@@ -105,6 +108,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: instance field {field!r}")
         assert "Traceback" not in err
+
+    def test_many_modes_solve(self, tmp_path, capsys):
+        # 41 modes, 40 of size 1: the slice is one point, 200 entries
+        problem = random_instance([1] * 40 + [200], "U", SplitMix64(7), marginals="random")
+        path = tmp_path / "modes.json"
+        path.write_text(emit_instance(problem), encoding="utf-8")
+        assert cli.main(["solve", str(path), "--oracle"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["value"] - doc["oracle_value"]) <= 1e-6
 
     def test_unwritable_out_exits_2(self, matching_instance, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"

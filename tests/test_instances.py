@@ -135,6 +135,17 @@ class TestParseErrors:
         with pytest.raises(InstanceFormatError, match="dims"):
             parse_instance(json.dumps(doc))
 
+    def test_more_modes_than_numpy_supports(self):
+        # past numpy's mode limit, 32 under numpy 1.x and 64 under 2.x
+        doc = {
+            "dims": [1] * 71 + [2],
+            "variant": "U",
+            "cost": [0.0, 1.0],
+            "marginals": [[1.0]] * 71 + [[0.5, 0.5]],
+        }
+        with pytest.raises(InstanceFormatError, match="'dims': has 72 modes"):
+            parse_instance(json.dumps(doc))
+
 
 class TestRenormalization:
     def test_small_drift_silent(self, capsys):

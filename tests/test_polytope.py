@@ -158,10 +158,12 @@ class TestMarginalOperator:
     normal_matrix) against its dense rows, for both variants, on both
     sides of the crossover between dense rows and reductions."""
 
-    # the last shape lies above the crossover for both variants; its
-    # entries reach about 300, so its bound is 1e-14 relative to the
-    # largest reference entry, while the small shapes keep 1e-14 absolute
-    SHAPES = [(1,), (3,), (1, 4), (2, 1, 3), (2, 3, 2, 3), (24, 24)]
+    # (24, 24) lies above the crossover for both variants; its entries
+    # reach about 300, so its bound is 1e-14 relative to the largest
+    # reference entry, while the other shapes keep 1e-14 absolute.  The
+    # 41-mode shape has more modes than a table indexed by every subset of
+    # modes could hold.
+    SHAPES = [(1,), (3,), (1, 4), (2, 1, 3), (2, 3, 2, 3), (24, 24), (1,) * 40 + (3,)]
     RELATIVE = {(24, 24)}
 
     @pytest.mark.parametrize("dims", SHAPES)
