@@ -33,46 +33,58 @@ Both variants solve that normal system directly, in one workspace method
 asked for), with one operator: ConstraintSystem, whose rows are a table of
 the modes each row fixes (the first n_k - 1 marginal rows of every mode and
 the total for "U", the independent mode sums for "V").  On small problems
-it multiplies by its dense 0/1 rows; above a size crossover it never forms
-them, applying A as partial sums, A^T as broadcast sums, and gathering
-M = A diag(u^2) A^T from the sums of u^2 over the modes each pair of rows
-leaves free.  LAPACK potrf factors M once per iterate, and both solves (at
-eta, for the decrement and the Phase I step, and at eta * growth) share that
-factor as two right-hand sides; in Phase II the line through them gives the
-step at the chosen eta.  Squaring the condition number this way is made
-safe by two measures:
+it multiplies by its dense 0/1 rows; above a size crossover it applies A as
+partial sums and A^T as broadcast sums, and gathers M = A diag(u^2) A^T from
+the sums of u^2 over the modes each pair of rows leaves free (M has its own,
+lower crossover).  LAPACK potrf factors M once per iterate, and both solves
+(at eta, for the decrement and the Phase I step, and at eta * growth) share
+that factor as two right-hand sides; in Phase II the line through them
+gives the step at the chosen eta.  Squaring the condition number this way
+is made safe by two measures:
 
 * warm start: the first solve is for the correction to the previous
   iterate's multipliers, extrapolated in eta (at a fixed iterate y is affine
   in eta), on the residual of the w they give.  A step moves u by a scaled
   norm of 1/3 at most, so the correction and its rounding error are small,
-  where a solve from
-  y = 0 carries an error relative to |y|, which grows like eta;
+  where a solve from y = 0 carries an error relative to |y|, which grows
+  like eta.  The workspace carries A^T y beside y, both as a line in eta,
+  so the warm start needs no adjoint.  The first pass's adjoint call maps
+  the line afresh together with its correction: an image of y carried from
+  step to step instead picks up rounding outside the range of A^T, which
+  no correction removes and each extrapolation magnifies (on five
+  criterion-1 solves at epsilon 1e-8 the decrement then strayed from the
+  QR one by up to 1.8e-4 over the last 30 path points, against 2.2e-7);
 * corrected seminormal equations (CSNE, Bjorck 1987): the next solve is on
   the residual recomputed from the vector w itself, and it is repeated
-  while it still moves w by more than 1e-9 in norm.  Along a path one step
-  nearly always suffices (all but 104 of 11 218 Cholesky solves below);
-  from a cold start, as in newton_direction, up to six.
+  while it would still move w by more than 1e-9 in norm.  That norm needs
+  no adjoint: the correction z solves M z = gap, so |u A^T z|^2 = z^T M z
+  = z^T gap, and a settled pass returns w without applying z.  Along a
+  path one step nearly always suffices (all but 88 of 11 202 Cholesky
+  solves below); from a cold start, as in newton_direction, up to six.  A
+  settled step thus makes one normal_matrix, one potrf, two apply, two
+  potrs and one adjoint call.
 
 Near a degenerate vertex M truly loses rank.  A solve therefore switches for
 good, within the same call, to Householder QR of diag(u) A^T, reading the
 step off an orthogonal projection of dg, once potrf breaks down or once
-CSNE has not settled after six steps.  Above the size crossover, the dense
-rows of A are built only then.  Until then CSNE keeps to the QR step: at
-1 268 iterates (criterion-1/2 solves, benchmark workloads, a size ladder)
-where potrf held but M's reciprocal condition fell below 1e-12, to 6e-17,
-the scaled steps agreed with the QR ones to 1.9e-8.
-The switch is one-way: toward the vertex M only gets worse, and retrying
-Cholesky at every later step found it usable for 119 of 8 778 QR steps
-after the switch (measured with the fixed short step).  Measured on the 50
+CSNE has not settled after six steps.  Above both size crossovers, the
+dense rows of A are built only then.  Until then CSNE keeps to the QR step:
+at 1 236 iterates (criterion-1/2 solves, benchmark workloads, a size
+ladder) where potrf held but M's reciprocal condition fell below 1e-12, to
+1.1e-16, the scaled steps agreed with the QR ones to 3.1e-8 and the
+decrements to 5.7e-9.  The switch is one-way: toward the vertex M only
+gets worse, and retrying Cholesky at every later step found it usable for
+119 of 8 778 QR steps after the switch (measured with the fixed short
+step).  Measured on the 50
 criterion-1 instances at epsilon 1e-8: without the tail 16 fail; with it
-all certify, 16 enter the tail, each on unsettled CSNE, QR takes 850 of
-10 048 factorizations, and the decrement agrees with the QR one to 3.4e-7
+all certify, 16 enter the tail, each on unsettled CSNE, QR takes 862 of
+10 048 factorizations, and the decrement agrees with the QR one to 1.5e-7
 at 1 393 sampled path points, warm or from a fresh workspace.  On the 20
 criterion-2 (variant V) instances at epsilon 1e-8: without the tail 6
-fail; with it all certify, 6 enter the tail, each on unsettled CSNE, QR
-takes 170 of 2 190 factorizations, and the decrement agrees with the QR
-one to 9.6e-8 at 615 sampled path points, warm or fresh.
+fail; with it all certify, 6 enter the tail, one (a 2x2) on a potrf
+breakdown and the others on unsettled CSNE, QR takes 174 of 2 190
+factorizations, and the decrement agrees with the QR one to 1.7e-7 at 615
+sampled path points, warm or fresh.
 """
 
 from __future__ import annotations
@@ -206,8 +218,10 @@ class _NewtonWorkspace:
         # the problem's own ConstraintSystem: its tables outlive the workspace
         self.op = problem.constraints
         self.rhs = self.op.rhs
-        # (etas, multipliers) of the last Cholesky solve; multipliers are
-        # affine in eta at a fixed iterate, so two columns extrapolate
+        # (etas, line of y, line of A^T y) of the last Cholesky solve, each
+        # line the value at etas[0] and the change from there to etas[1]:
+        # at a fixed iterate the multipliers y are affine in eta, so the
+        # lines extrapolate y and A^T y to any eta
         self.last = None
         # dense constraint rows, set when the QR tail starts
         self.rows = None
@@ -224,23 +238,37 @@ class _NewtonWorkspace:
                 # on the slice, so rounding drift off it cannot accumulate.
                 # The first pass solves for the correction to the warm
                 # start; the next ones are corrected-seminormal-equations
-                # steps, repeated until one moves w by at most _CSNE_SETTLED
-                # in norm.  Every pass recomputes the residual from w itself,
-                # and w is updated by the corrections rather than rebuilt
-                # from y, which grows like eta and would leave rounding of
-                # that size in A u w.
-                y = self.warm_start(etas)
-                w = u * op.adjoint(y) - dg
+                # steps, repeated until one would move w by at most
+                # _CSNE_SETTLED in norm.  Every pass recomputes the residual
+                # from w itself, and w is updated by the corrections rather
+                # than rebuilt from y, which grows like eta and would leave
+                # rounding of that size in A u w.
+                y, aty = self.warm_start(etas)
+                w = u * aty - dg
                 for passes in range(1 + _MAX_CSNE_STEPS):
                     gap = self.rhs - op.apply(u + u * w)
                     z, _ = _potrs(chol, gap.T, lower=1)
-                    y += z.T
-                    step = u * op.adjoint(z.T)
-                    w += step
-                    # NaN compares false, so a non-finite solve never settles
-                    if passes and np.vdot(step, step) <= _CSNE_SETTLED**2:
-                        self.last = (etas, y)
-                        return w
+                    if passes:
+                        # the correction z moves w by u A^T z, of squared
+                        # norm z^T M z = z^T gap; NaN compares false, so a
+                        # non-finite solve never settles
+                        if np.vdot(z.T, gap) <= _CSNE_SETTLED**2:
+                            return w
+                        back = op.adjoint(z.T)
+                    else:
+                        # the same adjoint call maps the corrected line of y
+                        # for the next warm start.  Its A^T image is taken
+                        # afresh rather than carried along with y: rounding
+                        # in a carried image leaves the range of A^T, where
+                        # no correction reaches it, and the extrapolation
+                        # magnifies it from one iterate to the next
+                        y += z.T
+                        k = len(etas)
+                        both = np.concatenate((z.T, y[:1], y[1:] - y[:1]))
+                        images = op.adjoint(both)
+                        self.last = (etas, both[k:], images[k:])
+                        back = images[:k]
+                    w += u * back
             # M is singular, or too close to it for CSNE to settle
             self.start_tail()
         # QR tail: the step read off an orthogonal projection of dg
@@ -258,11 +286,13 @@ class _NewtonWorkspace:
         self.rows = self.op.matrix
 
     def warm_start(self, etas):
+        """The multipliers y and A^T y at each eta: 0 before the first
+        Cholesky solve, extrapolated along the last one's lines after it."""
         if self.last is None:
-            return np.zeros((len(etas), self.op.n_rows))
-        old_etas, y = self.last
-        slope = (y[1] - y[0]) / (old_etas[1] - old_etas[0])
-        return np.multiply.outer(np.subtract(etas, old_etas[0]), slope) + y[0]
+            return np.zeros((len(etas), len(self.rhs))), np.zeros((len(etas), len(self.cost)))
+        (e0, e1), ys, images = self.last
+        t = [(eta - e0) / (e1 - e0) for eta in etas]
+        return np.multiply.outer(t, ys[1]) + ys[0], np.multiply.outer(t, images[1]) + images[0]
 
 
 def _check_domain(u):

@@ -98,17 +98,26 @@ class MarginalProblem:
 
 
 # ConstraintSystem multiplies by its dense rows while m * N (rows times
-# tensor entries) is at most this, and by reductions above it, where a few
+# tensor entries) is at most a cut, and by reductions above it, where a few
 # numpy calls per product no longer cost more than the flops they save.
-# The operator calls of one Newton step (normal_matrix once, apply twice and
-# adjoint three times on two right-hand sides), dense against reductions in
-# us, one BLAS thread on a 2-core Xeon: U 16x16 (m*N = 7 936) 38/57, V 5x5x5
-# (7 625) 59/79, U 8x8x8 (11 264) 45/143; V 6x6x5 (14 400) 117/114, U 20x20
-# (15 600) 117/92, V 6x6x6 (19 656) 180/129, U 24x24 (27 072) 209/109.  U
-# with three modes favours dense rows further up (9x9x9, 18 225: 84/156).
-# The cut rests on these micro-timings alone: no benchmark workload lies
-# between m*N = 2 368 (small-batch, V 4x4x4) and 19 656 (v3-dense, V 6x6x6).
+# Each operation has its own cut.  A Newton step makes one normal_matrix
+# call, whose dense form costs m^2 N flops, and calls apply twice on two
+# right-hand sides and adjoint once on four, m N flops per row.  In us, dense
+# against reductions, one BLAS thread on a 2-core Xeon, normal_matrix: U
+# 8x8x8 (m*N = 11 264) 37/42, V 6x6x5 (14 400) 94/40, U 20x20 (15 600)
+# 95/22, U 32x32 (64 512) 455/26.  apply and adjoint, two rows each: U
+# 24x24 (27 072) 8.1/19.4 and 7.9/17.2, U 32x32 (64 512) 14.1/21.9 and
+# 17.2/21.0, V 8x8x8 (86 528) 20.0/28.0 and 22.5/24.5, U 40x40 (126 400)
+# 27.2/23.6 and 30.3/20.5, V 9x9x9 (158 193) 34.6/30.2 and 42.1/25.4, U
+# 48x48 (218 880) 62.2/28.3 and 82.1/27.5; two apply and one adjoint break
+# even near U 36x36 (92 016) and V 8x8x9 (105 984).  U with three modes
+# keeps dense products longer (U 12x12x12, 58 752: 13.3/41.7 and 14.2/26.3;
+# even near U 16x16x16, 188 416).  The cuts rest on these micro-timings
+# alone: no benchmark workload lies between m*N = 2 368 (small-batch, V
+# 4x4x4) and 19 656 (v3-dense, V 6x6x6), nor above 64 512 (u2-dense, U
+# 32x32).
 _DENSE_CROSSOVER = 12_000
+_DENSE_PRODUCT_CROSSOVER = 100_000
 
 
 def _row_table(dims, variant) -> np.ndarray:
@@ -185,12 +194,14 @@ class ConstraintSystem:
     kept rows reach it (the tests check shapes up to four modes).
 
     ``apply``, ``adjoint`` and ``normal_matrix`` act on flat vectors.  Up to
-    _DENSE_CROSSOVER in m * N they multiply by the dense rows ``matrix``;
-    above it they never form them: A x reads the rows off partial sums of
-    x, A^T y spreads each multiplier over the entries its row sums, and
-    entry (r, s) of A diag(w) A^T is the sum of w over the modes neither
-    row fixes, at the indices they fix (0 where the two rows fix one mode
-    at different indices).
+    a cut in m * N (_DENSE_PRODUCT_CROSSOVER for ``apply`` and ``adjoint``,
+    the lower _DENSE_CROSSOVER for ``normal_matrix``) they multiply by the
+    dense rows ``matrix``; above it they do without them: A x reads the rows
+    off partial sums of x, A^T y spreads each multiplier over the entries
+    its row sums, and entry (r, s) of A diag(w) A^T is the sum of w over the
+    modes neither row fixes, at the indices they fix (0 where the two rows
+    fix one mode at different indices).  Above both cuts none of the three
+    forms the dense rows.
     """
 
     def __init__(self, problem: MarginalProblem):
@@ -203,7 +214,9 @@ class ConstraintSystem:
         # shared through MarginalProblem.constraints: nobody may write them
         self.pattern.flags.writeable = False
         self.rhs.flags.writeable = False
-        self._dense = self.n_rows * problem.size <= _DENSE_CROSSOVER
+        size = self.n_rows * problem.size
+        self._dense_products = size <= _DENSE_PRODUCT_CROSSOVER
+        self._dense_normal = size <= _DENSE_CROSSOVER
 
     @property
     def n_rows(self) -> int:
@@ -248,7 +261,7 @@ class ConstraintSystem:
 
     def apply(self, x) -> np.ndarray:
         """A x for flat ``x`` of shape (N,) or (r, N)."""
-        if self._dense:
+        if self._dense_products:
             return x @ self.matrix.T
         sums, _, _ = self._row_sums
         t = x.reshape((-1,) + self.dims)
@@ -258,7 +271,7 @@ class ConstraintSystem:
 
     def adjoint(self, y) -> np.ndarray:
         """A^T y, flat, for ``y`` of shape (m,) or (r, m)."""
-        if self._dense:
+        if self._dense_products:
             return y @ self.matrix
         sums, ((cut, shape), *rest), size = self._row_sums
         rows = y.reshape(-1, self.n_rows)
@@ -275,7 +288,7 @@ class ConstraintSystem:
 
     def normal_matrix(self, w) -> np.ndarray:
         """A diag(w) A^T for flat weights ``w`` of shape (N,)."""
-        if self._dense:
+        if self._dense_normal:
             return (self.matrix * w) @ self.matrix.T
         sums, index = self._pair_sums
         parts = _partial_sums(w.reshape(self.dims), sums)

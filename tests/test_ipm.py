@@ -141,7 +141,7 @@ class TestNewtonDirection:
                 return _build(*args, **kwargs)
 
             monkeypatch.setattr(polytope, name, counted)
-        monkeypatch.setattr(polytope, "_DENSE_CROSSOVER", -1)
+        reductions_only(monkeypatch)
         rng = np.random.default_rng(71)
         for variant in ("U", "V"):
             problem = random_problem((3, 4, 2), rng, variant)
@@ -163,8 +163,10 @@ class TestNewtonDirection:
 # the normal matrix loses rank: without the QR tail they fail
 TAIL_TRIALS = (0, 4, 6, 16, 18)
 # further trials to sample, with random marginals and d = 3 (44 also ends
-# in the tail)
-SAMPLE_TRIALS = TAIL_TRIALS + (5, 27, 33, 44)
+# in the tail).  On 35 and 49 a warm start that carried A^T y - eta c from
+# step to step, rather than mapping A^T y afresh, strayed from the QR
+# decrement by up to 2e-5
+SAMPLE_TRIALS = TAIL_TRIALS + (5, 27, 33, 35, 44, 49)
 
 
 def qr_decrement(problem, u, eta):
@@ -177,8 +179,9 @@ def qr_decrement(problem, u, eta):
 
 def reductions_only(patch):
     """Make every ConstraintSystem built under ``patch`` apply its rows by
-    reductions, whatever its size."""
+    reductions in all three operations, whatever its size."""
     patch.setattr(polytope, "_DENSE_CROSSOVER", -1)
+    patch.setattr(polytope, "_DENSE_PRODUCT_CROSSOVER", -1)
 
 
 def eps8_solves(problems, trials, by_reductions=False):
@@ -202,7 +205,8 @@ def eps8_solves(problems, trials, by_reductions=False):
                 problems[trial], SolverConfig(epsilon=1e-8), observer=states.append
             )
             # the problem's one ConstraintSystem was built under the patch
-            assert problems[trial].constraints._dense == (not by_reductions)
+            system = problems[trial].constraints
+            assert system._dense_normal == system._dense_products == (not by_reductions)
             paths[trial] = (problems[trial], report, states, len(entries))
             entries.clear()
     return paths
@@ -326,24 +330,90 @@ class TestStructuredNewton:
         assert len(solves) == 1 + ipm._MAX_CSNE_STEPS
 
     def test_warm_start_is_exact_at_a_fixed_iterate(self):
-        # the multipliers are affine in eta, so two solved columns give the
-        # multipliers at any other eta
+        # the multipliers y, and with them A^T y, are affine in eta, so two
+        # solved rows give both at any other eta
         rng = np.random.default_rng(70)
         problem = random_problem((3, 4), rng)
         u = random_interior_point(problem, rng).ravel()
         workspace = ipm._NewtonWorkspace(problem)
         workspace.scaled_steps(u, (2.0, 3.0))
-        guess = workspace.warm_start((5.0,))
+        y, aty = workspace.warm_start((5.0,))
         cold = ipm._NewtonWorkspace(problem)
         cold.scaled_steps(u, (5.0,))
-        assert np.allclose(guess, cold.last[1], rtol=1e-9, atol=1e-12)
+        _, ys, images = cold.last
+        assert np.allclose(y, ys, rtol=1e-9, atol=1e-12)
+        assert np.allclose(aty, images, rtol=1e-9, atol=1e-12)
+        # both match the y that solves A diag(u^2) A^T y = A diag(u) dg +
+        # (b - A u) at eta = 5
+        a, b, c = problem.constraints.matrix, problem.constraints.rhs, problem.cost.ravel()
+        dg = 5.0 * u * c - 1.0
+        ref = np.linalg.solve((a * u * u) @ a.T, a @ (u * dg) + b - a @ u)
+        assert np.allclose(y[0], ref, rtol=1e-9, atol=1e-12)
+        assert np.allclose(aty[0], a.T @ ref, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("cuts", [(2**62, 2**62), (-1, 2**62), (2**62, -1), (-1, -1)])
+    def test_settle_identity(self, cuts, monkeypatch):
+        # a CSNE pass settles on z^T gap, the squared norm of the move
+        # u A^T z that it skips computing: z solves M z = gap, so z^T gap =
+        # z^T A diag(u^2) A^T z; on each side of both cuts
+        monkeypatch.setattr(polytope, "_DENSE_CROSSOVER", cuts[0])
+        monkeypatch.setattr(polytope, "_DENSE_PRODUCT_CROSSOVER", cuts[1])
+        rng = np.random.default_rng(74)
+        for dims, variant in (((4, 5), "U"), ((2, 3, 4), "U"), ((3, 4), "V"), ((3, 3, 3), "V")):
+            problem = random_problem(dims, rng, variant)
+            system = ConstraintSystem(problem)
+            assert (system._dense_normal, system._dense_products) == (cuts[0] > 0, cuts[1] > 0)
+            for _ in range(3):
+                u = random_interior_point(problem, rng).ravel()
+                chol, info = ipm._potrf(system.normal_matrix(u * u), lower=1, clean=0)
+                assert info == 0
+                gap = rng.normal(size=(2, system.n_rows))
+                z, _ = ipm._potrs(chol, gap.T, lower=1)
+                move = u * system.adjoint(z.T)
+                assert np.vdot(z.T, gap) == pytest.approx(np.vdot(move, move), rel=1e-10)
+
+    def test_call_budget_per_step(self, monkeypatch):
+        # a Cholesky step that settles on its first CSNE step makes one
+        # normal_matrix, two apply, two potrs and one adjoint call: the
+        # warm start extrapolates A^T y, which the first pass's adjoint call
+        # maps along with its correction, and the settling pass skips its
+        # adjoint
+        counts = {}
+
+        def counting(name, call):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return call(*args, **kwargs)
+
+            return counted
+
+        for name in ("apply", "adjoint", "normal_matrix"):
+            monkeypatch.setattr(ConstraintSystem, name, counting(name, getattr(ConstraintSystem, name)))
+        monkeypatch.setattr(ipm, "_potrs", counting("potrs", ipm._potrs))
+        scaled_steps = ipm._NewtonWorkspace.scaled_steps
+        steps = []
+
+        def recorded(workspace, u, etas):
+            counts.update(dict.fromkeys(("apply", "adjoint", "normal_matrix", "potrs"), 0))
+            w = scaled_steps(workspace, u, etas)
+            assert workspace.rows is None
+            steps.append((counts["apply"], counts["adjoint"], counts["normal_matrix"], counts["potrs"]))
+            return w
+
+        monkeypatch.setattr(ipm._NewtonWorkspace, "scaled_steps", recorded)
+        rng = np.random.default_rng(75)
+        for dims, variant in (((6, 6), "U"), ((3, 3, 3), "V")):
+            steps.clear()
+            report = short_step_solve(random_problem(dims, rng, variant), SolverConfig(epsilon=1e-6))
+            assert len(steps) == report.iterations + 1
+            assert set(steps) == {(2, 1, 1, 2)}
 
     def test_no_dense_rows_without_tail(self, monkeypatch):
-        # above the crossover only the QR tail reads the dense rows
+        # above both crossovers only the QR tail reads the dense rows
         def refuse(system):
             raise AssertionError("dense constraint rows built")
 
-        monkeypatch.setattr(polytope, "_DENSE_CROSSOVER", -1)
+        reductions_only(monkeypatch)
         monkeypatch.setattr(ConstraintSystem, "matrix", property(refuse))
         rng = np.random.default_rng(69)
         for variant in ("U", "V"):

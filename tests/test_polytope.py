@@ -156,24 +156,29 @@ class TestAdjoint:
 class TestMarginalOperator:
     """The constraint operator of ConstraintSystem (apply, adjoint and
     normal_matrix) against its dense rows, for both variants, on both
-    sides of the crossover between dense rows and reductions."""
+    sides of each crossover between dense rows and reductions."""
 
-    # (24, 24) lies above the crossover for both variants; its entries
-    # reach about 300, so its bound is 1e-14 relative to the largest
-    # reference entry, while the other shapes keep 1e-14 absolute.  The
-    # 41-mode shape has more modes than a table indexed by every subset of
-    # modes could hold.
-    SHAPES = [(1,), (3,), (1, 4), (2, 1, 3), (2, 3, 2, 3), (24, 24), (1,) * 40 + (3,)]
-    RELATIVE = {(24, 24)}
+    # (24, 24) and V (6, 6, 6) lie between the cut of normal_matrix and
+    # that of apply and adjoint, so at the default cuts they mix the two
+    # ways.  The entries of (6, 6, 6) reach about 120 and those of (24, 24)
+    # about 300, so their bound is 1e-14 relative to the largest reference
+    # entry, while the other shapes keep 1e-14 absolute.  The 41-mode shape
+    # has more modes than a table indexed by every subset of modes could
+    # hold.
+    SHAPES = [(1,), (3,), (1, 4), (2, 1, 3), (2, 3, 2, 3), (24, 24), (1,) * 40 + (3,), (6, 6, 6)]
+    RELATIVE = {(6, 6, 6), (24, 24)}
 
     @pytest.mark.parametrize("dims", SHAPES)
     def test_matches_dense_rows(self, dims, monkeypatch):
         rng = np.random.default_rng(23)
         size = int(np.prod(dims))
+        defaults = (polytope._DENSE_CROSSOVER, polytope._DENSE_PRODUCT_CROSSOVER)
         for variant in ("U", "V"):
             problem = uniform_problem(dims, variant=variant)
-            for crossover in (2**62, -1):
-                monkeypatch.setattr(polytope, "_DENSE_CROSSOVER", crossover)
+            # dense rows everywhere, reductions everywhere, the default cuts
+            for cuts in ((2**62, 2**62), (-1, -1), defaults):
+                monkeypatch.setattr(polytope, "_DENSE_CROSSOVER", cuts[0])
+                monkeypatch.setattr(polytope, "_DENSE_PRODUCT_CROSSOVER", cuts[1])
                 system = ConstraintSystem(problem)
                 x = rng.normal(size=(2, size))
                 y = rng.normal(size=(2, system.n_rows))
@@ -185,7 +190,7 @@ class TestMarginalOperator:
                     system.adjoint(y[0]),
                     system.normal_matrix(w),
                 ]
-                if crossover < 0:
+                if cuts == (-1, -1):
                     # the reductions never form the dense rows
                     assert "matrix" not in vars(system)
                 a = system.matrix
