@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "ConcordanceSample",
@@ -76,6 +75,9 @@ def pseudo_quadratic(a, y) -> float:
     ``max(norm(y), 1)``) or the quadratic is undefined and CertificateError
     is raised.  When A - y y^T is PSD the value is at most 1.
     """
+    # scipy.linalg loads with the certificates, not with the solve path
+    import scipy.linalg
+
     a = np.asarray(a, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -117,6 +119,8 @@ def complexity_value(u, basis=None) -> float:
     is g_t^T H_t^{-1} g_t for the restricted gradient and Hessian; it never
     exceeds the unrestricted value.
     """
+    import scipy.linalg
+
     u = np.asarray(u, dtype=np.float64)
     if np.any(u <= 0.0):
         raise ValueError("barrier requires strictly positive entries")

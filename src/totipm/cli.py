@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 
 import numpy as np
 
+from . import _lapack
 from .instances import (
     InstanceFormatError,
     SplitMix64,
@@ -32,6 +34,14 @@ _CSV_HEADER = "d,n,trial,iterations,predicted_bound,value,oracle_value,seconds"
 
 # largest instance (n**d entries) the benchmark command will generate
 _MAX_BENCHMARK_ENTRIES = 1_000_000
+
+# the variables by which a user chooses the BLAS thread count.  Without
+# them a command runs BLAS on one thread: the solver's matrices are small,
+# and on a 2-core Xeon at eps 1e-4 a V 8x8x8 solve took 0.51 s with the
+# default threads against 0.23-0.40 s with one, U 32x32 0.29-0.34 s against
+# 0.18-0.22 s.  Setting a variable from here would come too late: OpenBLAS
+# reads them when numpy loads it.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @functools.cache
@@ -200,6 +210,8 @@ def _verify_command(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if not any(name in os.environ for name in _THREAD_VARIABLES):
+        _lapack.set_blas_threads(1)
     if args.command == "solve":
         return _solve_command(args)
     if args.command == "benchmark":

@@ -38,9 +38,13 @@ partial sums and A^T as broadcast sums, and gathers M = A diag(u^2) A^T from
 the sums of u^2 over the modes each pair of rows leaves free (M has its own,
 lower crossover).  LAPACK potrf factors M once per iterate, and both solves
 (at eta, for the decrement and the Phase I step, and at eta * growth) share
-that factor as two right-hand sides; in Phase II the line through them
-gives the step at the chosen eta.  Squaring the condition number this way
-is made safe by two measures:
+that factor as two right-hand sides (potrs); in Phase II the line through
+them gives the step at the chosen eta.  potrf and potrs are those of scipy's
+bundled OpenBLAS, called through ctypes (_lapack), so the solve path never
+imports scipy.linalg, whose import took 0.25-0.30 s, most of a cold start;
+installs without that library (conda or MKL builds, scipy before 1.13) take
+the same routines from scipy.linalg.lapack.  Squaring the condition number
+this way is made safe by two measures:
 
 * warm start: the first solve is for the correction to the previous
   iterate's multipliers, extrapolated in eta (at a fixed iterate y is affine
@@ -65,8 +69,9 @@ is made safe by two measures:
   potrs and one adjoint call.
 
 Near a degenerate vertex M truly loses rank.  A solve therefore switches for
-good, within the same call, to Householder QR of diag(u) A^T, reading the
-step off an orthogonal projection of dg, once potrf breaks down or once
+good, within the same call, to Householder QR of diag(u) A^T (numpy's
+np.linalg.qr, then trtrs from the same library as potrf), reading the step
+off an orthogonal projection of dg, once potrf breaks down or once
 CSNE has not settled after six steps.  Above both size crossovers, the
 dense rows of A are built only then.  Until then CSNE keeps to the QR step:
 at 1 236 iterates (criterion-1/2 solves, benchmark workloads, a size
@@ -95,8 +100,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .polytope import MarginalProblem, start_point
 
 __all__ = [
@@ -153,8 +158,6 @@ _MAX_CSNE_STEPS = 6
 # refinement: the decrements then move by less, three orders below the 1e-6
 # agreement with QR
 _CSNE_SETTLED = 1e-9
-
-_potrf, _potrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 class SolverError(RuntimeError):
@@ -225,6 +228,9 @@ class _NewtonWorkspace:
         self.last = None
         # dense constraint rows, set when the QR tail starts
         self.rows = None
+        # the Cholesky factor and its right-hand sides, sized by the first
+        # call, whose number of etas every later call keeps
+        self.cholesky = None
 
     def scaled_steps(self, u, etas):
         """Factor at the iterate u and return the scaled steps w = delta / u
@@ -232,8 +238,10 @@ class _NewtonWorkspace:
         op = self.op
         dg = np.multiply.outer(etas, u * self.cost) - 1.0
         if self.rows is None:
-            chol, info = _potrf(op.normal_matrix(u * u), lower=1, clean=0)
-            if info == 0:
+            if self.cholesky is None:
+                self.cholesky = _lapack.Cholesky(len(self.rhs), len(etas))
+            cholesky = self.cholesky
+            if cholesky.potrf(op.normal_matrix(u * u)):
                 # w = diag(u) A^T y - dg with A (u + u w) = b: the step lands
                 # on the slice, so rounding drift off it cannot accumulate.
                 # The first pass solves for the correction to the warm
@@ -247,14 +255,14 @@ class _NewtonWorkspace:
                 w = u * aty - dg
                 for passes in range(1 + _MAX_CSNE_STEPS):
                     gap = self.rhs - op.apply(u + u * w)
-                    z, _ = _potrs(chol, gap.T, lower=1)
+                    z = cholesky.potrs(gap)
                     if passes:
                         # the correction z moves w by u A^T z, of squared
                         # norm z^T M z = z^T gap; NaN compares false, so a
                         # non-finite solve never settles
-                        if np.vdot(z.T, gap) <= _CSNE_SETTLED**2:
+                        if np.vdot(z, gap) <= _CSNE_SETTLED**2:
                             return w
-                        back = op.adjoint(z.T)
+                        back = op.adjoint(z)
                     else:
                         # the same adjoint call maps the corrected line of y
                         # for the next warm start.  Its A^T image is taken
@@ -262,9 +270,9 @@ class _NewtonWorkspace:
                         # in a carried image leaves the range of A^T, where
                         # no correction reaches it, and the extrapolation
                         # magnifies it from one iterate to the next
-                        y += z.T
+                        y += z
                         k = len(etas)
-                        both = np.concatenate((z.T, y[:1], y[1:] - y[:1]))
+                        both = np.concatenate((z, y[:1], y[1:] - y[:1]))
                         images = op.adjoint(both)
                         self.last = (etas, both[k:], images[k:])
                         back = images[:k]
@@ -272,13 +280,14 @@ class _NewtonWorkspace:
             # M is singular, or too close to it for CSNE to settle
             self.start_tail()
         # QR tail: the step read off an orthogonal projection of dg
-        q, r = scipy.linalg.qr(u[:, None] * self.rows.T, mode="economic")
+        q, r = np.linalg.qr(u[:, None] * self.rows.T, mode="reduced")
         w = dg - (dg @ q) @ q.T
         # near the path the projection cancels almost all of dg; a second
         # pass scrubs the range(Q) remnant the cancellation leaves behind
         w -= (w @ q) @ q.T
-        w = q @ scipy.linalg.solve_triangular(r, self.rhs - self.rows @ u, trans="T") - w
-        if not np.isfinite(w).all():
+        x, info = _lapack.solve_transposed(r, self.rhs - self.rows @ u)
+        w = q @ x - w
+        if info > 0 or not np.isfinite(w).all():
             raise SolverError("constraint rows lost rank at the current iterate")
         return w
 

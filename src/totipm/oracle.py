@@ -4,9 +4,10 @@ Deliberately shares no machinery with the interior point solver beyond the
 constraint assembly, so agreement between the two is meaningful evidence.
 The dual checks take multipliers of the same dense rows, for both variants.
 Clarity over speed: each pivot LU-factors the basis matrix afresh (LAPACK
-getrf) and solves with that one factor for the basic values, the duals and
-the entering column only.  Bland's rule (lowest eligible index for both the
-entering and the leaving variable) guarantees termination without
+getrf from scipy.linalg.lapack, which loads at the first pivot rather than
+with the package) and solves with that one factor for the basic values, the
+duals and the entering column only.  Bland's rule (lowest eligible index for
+both the entering and the leaving variable) guarantees termination without
 anti-cycling perturbation.
 """
 
@@ -15,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import scipy_routines
 from .polytope import MarginalProblem
 
 __all__ = [
@@ -35,8 +36,6 @@ COST_TOL = 1e-9
 RATIO_TOL = 1e-11
 
 _MAX_PIVOTS_FACTOR = 50
-
-_getrf, _getrs = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,12 @@ def to_lp(problem: MarginalProblem) -> StandardFormLP:
 def _pivot_once(a, b, c, basis):
     """One Bland pivot.  Returns "optimal", "unbounded" or "pivoted"."""
     m, n = a.shape
-    lu, piv, info = _getrf(a[:, basis])
+    getrf, getrs = scipy_routines("getrf", "getrs")
+    lu, piv, info = getrf(a[:, basis])
     if info != 0:
         raise np.linalg.LinAlgError("singular basis matrix")
-    xb, _ = _getrs(lu, piv, b)
-    y, _ = _getrs(lu, piv, c[basis], trans=1)
+    xb, _ = getrs(lu, piv, b)
+    y, _ = getrs(lu, piv, c[basis], trans=1)
     # Python floats: the loops below read them one at a time
     reduced = (c - a.T @ y).tolist()
 
@@ -84,7 +84,7 @@ def _pivot_once(a, b, c, basis):
     if entering < 0:
         return "optimal", basis
 
-    col, _ = _getrs(lu, piv, a[:, entering])
+    col, _ = getrs(lu, piv, a[:, entering])
     col, xb = col.tolist(), xb.tolist()
     best_ratio = np.inf
     leaving_pos = -1

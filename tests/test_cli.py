@@ -277,3 +277,24 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["verify", "--suite", "bogus"])
+
+
+class TestBlasThreads:
+    def clear(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli._lapack, "set_blas_threads", calls.append)
+        for name in cli._THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        return calls
+
+    def test_one_thread_unless_asked(self, matching_instance, monkeypatch, capsys):
+        calls = self.clear(monkeypatch)
+        assert cli.main(["solve", matching_instance]) == 0
+        assert calls == [1]
+
+    @pytest.mark.parametrize("variable", cli._THREAD_VARIABLES)
+    def test_a_set_variable_keeps_the_count(self, variable, matching_instance, monkeypatch, capsys):
+        calls = self.clear(monkeypatch)
+        monkeypatch.setenv(variable, "2")
+        assert cli.main(["solve", matching_instance]) == 0
+        assert calls == []

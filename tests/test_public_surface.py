@@ -32,7 +32,7 @@ PACKAGE_NAMES = {
     "__version__",
 }
 
-SUBMODULES = {"barrier", "cli", "instances", "ipm", "oracle", "polytope", "verify"}
+SUBMODULES = {"_lapack", "barrier", "cli", "instances", "ipm", "oracle", "polytope", "verify"}
 
 POLYTOPE_NAMES = [
     "MarginalProblem",
