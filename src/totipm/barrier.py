@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import dpotrf, dpotrs, dsyevr, dsyevr_lwork
+
 __all__ = [
     "ConcordanceSample",
     "CertificateError",
@@ -75,9 +77,6 @@ def pseudo_quadratic(a, y) -> float:
     ``max(norm(y), 1)``) or the quadratic is undefined and CertificateError
     is raised.  When A - y y^T is PSD the value is at most 1.
     """
-    # scipy.linalg loads with the certificates, not with the solve path
-    import scipy.linalg
-
     a = np.asarray(a, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -89,7 +88,10 @@ def pseudo_quadratic(a, y) -> float:
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-10 * scale:
         raise CertificateError("matrix is not symmetric")
-    w, q = scipy.linalg.eigh(a)
+    # syevr as scipy.linalg.eigh calls it: a workspace below the queried
+    # size changes the blocking, and so the rounding, above order 32
+    work, iwork, _ = dsyevr_lwork(a.shape[0], lower=1)
+    w, q, _, _, _ = dsyevr(np.asarray_chkfinite(a), compute_v=1, lower=1, lwork=int(work), liwork=iwork)
     if w[-1] <= 0.0:
         # A is (numerically) the zero matrix; only y = 0 stays in range
         if float(np.linalg.norm(y)) > 1e-8:
@@ -119,8 +121,6 @@ def complexity_value(u, basis=None) -> float:
     is g_t^T H_t^{-1} g_t for the restricted gradient and Hessian; it never
     exceeds the unrestricted value.
     """
-    import scipy.linalg
-
     u = np.asarray(u, dtype=np.float64)
     if np.any(u <= 0.0):
         raise ValueError("barrier requires strictly positive entries")
@@ -137,5 +137,8 @@ def complexity_value(u, basis=None) -> float:
         return 0.0
     gt = b.T @ g
     ht = (b * d2[:, None]).T @ b
-    c, low = scipy.linalg.cho_factor(ht)
-    return float(gt @ scipy.linalg.cho_solve((c, low), gt))
+    c, info = dpotrf(np.asarray_chkfinite(ht), clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    x, _ = dpotrs(c, np.asarray_chkfinite(gt))
+    return float(gt @ x)

@@ -39,11 +39,9 @@ the sums of u^2 over the modes each pair of rows leaves free (M has its own,
 lower crossover).  LAPACK potrf factors M once per iterate, and both solves
 (at eta, for the decrement and the Phase I step, and at eta * growth) share
 that factor as two right-hand sides (potrs); in Phase II the line through
-them gives the step at the chosen eta.  potrf and potrs are those of scipy's
-bundled OpenBLAS, called through ctypes (_lapack), so the solve path never
-imports scipy.linalg, whose import took 0.25-0.30 s, most of a cold start;
-installs without that library (conda or MKL builds, scipy before 1.13) take
-the same routines from scipy.linalg.lapack.  Squaring the condition number
+them gives the step at the chosen eta.  potrf and potrs are scipy's f2py
+wrappers, loaded without importing scipy.linalg (_lapack), whose import
+took 0.25-0.30 s, most of a cold start.  Squaring the condition number
 this way is made safe by two measures:
 
 * warm start: the first solve is for the correction to the previous
@@ -228,9 +226,6 @@ class _NewtonWorkspace:
         self.last = None
         # dense constraint rows, set when the QR tail starts
         self.rows = None
-        # the Cholesky factor and its right-hand sides, sized by the first
-        # call, whose number of etas every later call keeps
-        self.cholesky = None
 
     def scaled_steps(self, u, etas):
         """Factor at the iterate u and return the scaled steps w = delta / u
@@ -238,10 +233,10 @@ class _NewtonWorkspace:
         op = self.op
         dg = np.multiply.outer(etas, u * self.cost) - 1.0
         if self.rows is None:
-            if self.cholesky is None:
-                self.cholesky = _lapack.Cholesky(len(self.rhs), len(etas))
-            cholesky = self.cholesky
-            if cholesky.potrf(op.normal_matrix(u * u)):
+            # potrf reads M's own buffer in Fortran order (M.T, equal to M)
+            # and factors the fresh array in place, with no copy
+            factor, info = _lapack.dpotrf(op.normal_matrix(u * u).T, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
                 # w = diag(u) A^T y - dg with A (u + u w) = b: the step lands
                 # on the slice, so rounding drift off it cannot accumulate.
                 # The first pass solves for the correction to the warm
@@ -255,7 +250,7 @@ class _NewtonWorkspace:
                 w = u * aty - dg
                 for passes in range(1 + _MAX_CSNE_STEPS):
                     gap = self.rhs - op.apply(u + u * w)
-                    z = cholesky.potrs(gap)
+                    z = _lapack.dpotrs(factor, gap.T, lower=1)[0].T
                     if passes:
                         # the correction z moves w by u A^T z, of squared
                         # norm z^T M z = z^T gap; NaN compares false, so a
@@ -285,7 +280,8 @@ class _NewtonWorkspace:
         # near the path the projection cancels almost all of dg; a second
         # pass scrubs the range(Q) remnant the cancellation leaves behind
         w -= (w @ q) @ q.T
-        x, info = _lapack.solve_transposed(r, self.rhs - self.rows @ u)
+        # R^T x = b: the C-order R read as Fortran is R^T, lower triangular
+        x, info = _lapack.dtrtrs(r.T, self.rhs - self.rows @ u, lower=1)
         w = q @ x - w
         if info > 0 or not np.isfinite(w).all():
             raise SolverError("constraint rows lost rank at the current iterate")

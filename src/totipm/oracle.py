@@ -4,8 +4,7 @@ Deliberately shares no machinery with the interior point solver beyond the
 constraint assembly, so agreement between the two is meaningful evidence.
 The dual checks take multipliers of the same dense rows, for both variants.
 Clarity over speed: each pivot LU-factors the basis matrix afresh (LAPACK
-getrf from scipy.linalg.lapack, which loads at the first pivot rather than
-with the package) and solves with that one factor for the basic values, the
+getrf) and solves with that one factor (getrs) for the basic values, the
 duals and the entering column only.  Bland's rule (lowest eligible index for
 both the entering and the leaving variable) guarantees termination without
 anti-cycling perturbation.
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import scipy_routines
+from ._lapack import dgetrf, dgetrs
 from .polytope import MarginalProblem
 
 __all__ = [
@@ -67,12 +66,11 @@ def to_lp(problem: MarginalProblem) -> StandardFormLP:
 def _pivot_once(a, b, c, basis):
     """One Bland pivot.  Returns "optimal", "unbounded" or "pivoted"."""
     m, n = a.shape
-    getrf, getrs = scipy_routines("getrf", "getrs")
-    lu, piv, info = getrf(a[:, basis])
+    lu, piv, info = dgetrf(a[:, basis])
     if info != 0:
         raise np.linalg.LinAlgError("singular basis matrix")
-    xb, _ = getrs(lu, piv, b)
-    y, _ = getrs(lu, piv, c[basis], trans=1)
+    xb, _ = dgetrs(lu, piv, b)
+    y, _ = dgetrs(lu, piv, c[basis], trans=1)
     # Python floats: the loops below read them one at a time
     reduced = (c - a.T @ y).tolist()
 
@@ -84,7 +82,7 @@ def _pivot_once(a, b, c, basis):
     if entering < 0:
         return "optimal", basis
 
-    col, _ = getrs(lu, piv, a[:, entering])
+    col, _ = dgetrs(lu, piv, a[:, entering])
     col, xb = col.tolist(), xb.tolist()
     best_ratio = np.inf
     leaving_pos = -1

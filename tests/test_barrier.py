@@ -144,6 +144,25 @@ class TestPseudoQuadratic:
         with pytest.raises(CertificateError):
             pseudo_quadratic(np.diag([1.0, -1.0]), np.array([1.0, 0.0]))
 
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pseudo_quadratic(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2))
+
+    def test_eigendecomposition_is_scipy_eigh(self):
+        # the same bits as through scipy.linalg.eigh, also above the size
+        # at which the reduction to tridiagonal form works in blocks
+        import scipy.linalg
+
+        rng = np.random.default_rng(44)
+        for n in (5, 40):
+            m = rng.normal(size=(n, n - 1))
+            a = m @ m.T
+            y = a @ rng.normal(size=n)
+            w, q = scipy.linalg.eigh(a)
+            kernel = w <= 1e-10 * w[-1]
+            z = q.T @ y
+            assert pseudo_quadratic(a, y) == float(np.sum(z[~kernel] ** 2 / w[~kernel]))
+
 
 class TestComplexityValue:
     def test_unrestricted_equals_count(self):
@@ -178,3 +197,20 @@ class TestComplexityValue:
 
     def test_empty_basis(self):
         assert complexity_value(np.array([0.5, 0.5]), np.zeros((2, 0))) == 0.0
+
+    def test_zero_basis_column_is_lin_alg_error(self):
+        # the restricted Hessian is then singular, and its Cholesky breaks down
+        problem = uniform_problem((3, 3))
+        basis = null_basis_matrix(problem)
+        basis = np.hstack([basis, np.zeros((basis.shape[0], 1))])
+        with pytest.raises(np.linalg.LinAlgError):
+            complexity_value(start_point(problem), basis)
+
+    def test_non_finite_input_rejected(self):
+        problem = uniform_problem((2, 2))
+        u = start_point(problem).ravel()
+        basis = null_basis_matrix(problem)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            complexity_value(np.where(np.arange(u.size) == 0, np.nan, u), basis)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            complexity_value(u, np.where(basis != 0.0, np.inf, basis))

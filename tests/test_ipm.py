@@ -263,11 +263,6 @@ def v_eps8_paths_by_reductions():
     return eps8_solves(criterion_02_problems(), range(20), by_reductions=True)
 
 
-# both sides of each size cut, and the shapes the settling tests factor
-CUTS = [(2**62, 2**62), (-1, 2**62), (2**62, -1), (-1, -1)]
-SETTLE_SHAPES = (((4, 5), "U"), ((2, 3, 4), "U"), ((3, 4), "V"), ((3, 3, 3), "V"))
-
-
 class TestStructuredNewton:
     def test_decrement_pinned_to_qr(self, eps8_paths):
         count, worst_warm, worst_fresh = worst_qr_gaps(eps8_paths)
@@ -321,14 +316,14 @@ class TestStructuredNewton:
 
     def test_unsettled_csne_starts_qr_tail(self, monkeypatch):
         # a CSNE that never settles gives up after _MAX_CSNE_STEPS steps
-        potrs = _lapack.Cholesky.potrs
+        potrs = _lapack.dpotrs
         solves = []
 
-        def counted(cholesky, b):
+        def counted(factor, b, **kwargs):
             solves.append(b)
-            return potrs(cholesky, b)
+            return potrs(factor, b, **kwargs)
 
-        monkeypatch.setattr(_lapack.Cholesky, "potrs", counted)
+        monkeypatch.setattr(_lapack, "dpotrs", counted)
         monkeypatch.setattr(ipm, "_CSNE_SETTLED", float("nan"))
         workspace = ipm._NewtonWorkspace(uniform_problem((2, 3)))
         workspace.scaled_steps(np.full(6, 1.0 / 6.0), (1.0, 3.0))
@@ -357,7 +352,7 @@ class TestStructuredNewton:
         assert np.allclose(y[0], ref, rtol=1e-9, atol=1e-12)
         assert np.allclose(aty[0], a.T @ ref, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("cuts", CUTS)
+    @pytest.mark.parametrize("cuts", [(2**62, 2**62), (-1, 2**62), (2**62, -1), (-1, -1)])
     def test_settle_identity(self, cuts, monkeypatch):
         # a CSNE pass settles on z^T gap, the squared norm of the move
         # u A^T z that it skips computing: z solves M z = gap, so z^T gap =
@@ -365,54 +360,23 @@ class TestStructuredNewton:
         monkeypatch.setattr(polytope, "_DENSE_CROSSOVER", cuts[0])
         monkeypatch.setattr(polytope, "_DENSE_PRODUCT_CROSSOVER", cuts[1])
         rng = np.random.default_rng(74)
-        for dims, variant in SETTLE_SHAPES:
+        for dims, variant in (((4, 5), "U"), ((2, 3, 4), "U"), ((3, 4), "V"), ((3, 3, 3), "V")):
             problem = random_problem(dims, rng, variant)
             system = ConstraintSystem(problem)
             assert (system._dense_normal, system._dense_products) == (cuts[0] > 0, cuts[1] > 0)
             for _ in range(3):
                 u = random_interior_point(problem, rng).ravel()
-                cholesky = _lapack.Cholesky(system.n_rows, 2)
-                assert cholesky.potrf(system.normal_matrix(u * u))
+                chol, info = _lapack.dpotrf(system.normal_matrix(u * u), lower=1, clean=0)
+                assert info == 0
                 gap = rng.normal(size=(2, system.n_rows))
-                z = cholesky.potrs(gap)
-                move = u * system.adjoint(z)
-                assert np.vdot(z, gap) == pytest.approx(np.vdot(move, move), rel=1e-10)
-
-    @pytest.mark.parametrize("cuts", CUTS)
-    def test_scipy_fallback_matches(self, cuts, monkeypatch):
-        # installs without scipy's bundled OpenBLAS take potrf, potrs and
-        # trtrs from scipy.linalg.lapack: the same scaled steps, by Cholesky
-        # and in the QR tail
-        monkeypatch.setattr(polytope, "_DENSE_CROSSOVER", cuts[0])
-        monkeypatch.setattr(polytope, "_DENSE_PRODUCT_CROSSOVER", cuts[1])
-
-        def both_routes(problem, u, etas):
-            cholesky = ipm._NewtonWorkspace(problem)
-            tail = ipm._NewtonWorkspace(problem)
-            tail.start_tail()
-            w = cholesky.scaled_steps(u, etas), tail.scaled_steps(u, etas)
-            assert cholesky.rows is None
-            assert isinstance(cholesky.cholesky, _lapack.Cholesky)
-            return w
-
-        rng = np.random.default_rng(74)
-        for dims, variant in SETTLE_SHAPES:
-            problem = random_problem(dims, rng, variant)
-            for _ in range(3):
-                u = random_interior_point(problem, rng).ravel()
-                etas = (1.0 + rng.uniform(), 10.0 * rng.uniform())
-                bound = both_routes(problem, u, etas)
-                with monkeypatch.context() as patch:
-                    patch.setattr(_lapack, "Cholesky", _lapack.ScipyCholesky)
-                    patch.setattr(_lapack, "solve_transposed", _lapack.scipy_solve_transposed)
-                    fallback = both_routes(problem, u, etas)
-                for one, other in zip(bound, fallback):
-                    assert np.abs(one - other).max() <= 1e-12
+                z, _ = _lapack.dpotrs(chol, gap.T, lower=1)
+                move = u * system.adjoint(z.T)
+                assert np.vdot(z.T, gap) == pytest.approx(np.vdot(move, move), rel=1e-10)
 
     def test_lost_rank_in_tail_is_solver_error(self, monkeypatch):
         # a zero on the diagonal of the tail's R (trtrs info > 0) is a
         # typed solver failure
-        monkeypatch.setattr(_lapack, "solve_transposed", lambda r, b: (np.zeros(len(b)), 1))
+        monkeypatch.setattr(_lapack, "dtrtrs", lambda a, b, **kwargs: (np.zeros(len(b)), 1))
         workspace = ipm._NewtonWorkspace(uniform_problem((2, 3)))
         workspace.start_tail()
         with pytest.raises(SolverError, match="lost rank"):
@@ -435,7 +399,7 @@ class TestStructuredNewton:
 
         for name in ("apply", "adjoint", "normal_matrix"):
             monkeypatch.setattr(ConstraintSystem, name, counting(name, getattr(ConstraintSystem, name)))
-        monkeypatch.setattr(_lapack.Cholesky, "potrs", counting("potrs", _lapack.Cholesky.potrs))
+        monkeypatch.setattr(_lapack, "dpotrs", counting("potrs", _lapack.dpotrs))
         scaled_steps = ipm._NewtonWorkspace.scaled_steps
         steps = []
 
