@@ -131,33 +131,51 @@ def test_missing_extension_module_is_an_import_error(tmp_path, monkeypatch):
             _lapack._load_flapack()
 
 
-def test_cholesky():
+# the routines the solve calls, as _lapack exports them and as
+# scipy.linalg.lapack does, so the calls below hold in either import order
+# (the ids name the two bindings these cases checked before both became
+# scipy's f2py routines)
+ROUTINES = [
+    pytest.param("totipm._lapack", id="OpenBLASCholesky"),
+    pytest.param("scipy.linalg.lapack", id="ScipyCholesky"),
+]
+TRANSPOSED = [
+    pytest.param("totipm._lapack", id="openblas_solve_transposed"),
+    pytest.param("scipy.linalg.lapack", id="scipy_solve_transposed"),
+]
+
+
+@pytest.mark.parametrize("module", ROUTINES)
+def test_cholesky(module):
     # the Newton solve's calls: potrf on M.T, M's own buffer read in
     # Fortran order, factored in place; right-hand sides are rows
+    lapack = importlib.import_module(module)
     rng = np.random.default_rng(4)
     a = rng.normal(size=(6, 9))
     m = a @ a.T
     buffer = m.copy()
-    factor, info = _lapack.dpotrf(buffer.T, lower=1, clean=0, overwrite_a=1)
+    factor, info = lapack.dpotrf(buffer.T, lower=1, clean=0, overwrite_a=1)
     assert info == 0
     assert np.shares_memory(factor, buffer)
     b = rng.normal(size=(2, 6))
-    z = _lapack.dpotrs(factor, b.T, lower=1)[0].T
+    z = lapack.dpotrs(factor, b.T, lower=1)[0].T
     assert np.allclose(z @ m, b, rtol=0.0, atol=1e-10)
-    assert _lapack.dpotrf(-np.eye(6), lower=1)[1] > 0
+    assert lapack.dpotrf(-np.eye(6), lower=1)[1] > 0
 
 
-def test_solve_transposed():
+@pytest.mark.parametrize("module", TRANSPOSED)
+def test_solve_transposed(module):
     # the QR tail's call: trtrs on R.T, R's C-order buffer read as the
     # lower-triangular R^T
+    lapack = importlib.import_module(module)
     rng = np.random.default_rng(3)
     r = np.triu(rng.normal(size=(5, 5))) + 5.0 * np.eye(5)
     b = rng.normal(size=5)
-    x, info = _lapack.dtrtrs(r.T, b, lower=1)
+    x, info = lapack.dtrtrs(r.T, b, lower=1)
     assert info == 0
     assert np.allclose(r.T @ x, b, rtol=0.0, atol=1e-12)
     r[2, 2] = 0.0
-    _, info = _lapack.dtrtrs(r.T, b, lower=1)
+    _, info = lapack.dtrtrs(r.T, b, lower=1)
     assert info == 3
 
 
