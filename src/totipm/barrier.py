@@ -75,10 +75,11 @@ def pseudo_quadratic(a, y) -> float:
     Eigenvalues at or below 1e-10 times the largest are treated as kernel;
     ``y`` must then be orthogonal to the kernel (within 1e-8, relative to
     ``max(norm(y), 1)``) or the quadratic is undefined and CertificateError
-    is raised.  When A - y y^T is PSD the value is at most 1.
+    is raised.  When A - y y^T is PSD the value is at most 1.  A nan or inf
+    in either argument raises ValueError.
     """
     a = np.asarray(a, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = np.asarray_chkfinite(y, dtype=np.float64).ravel()
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise CertificateError(f"expected a square matrix, got shape {a.shape}")
     if y.size != a.shape[0]:

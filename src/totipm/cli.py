@@ -1,8 +1,13 @@
 """Command-line front end: solve, benchmark and verify subcommands.
 
 Exit codes: 0 success, 1 failed verify property, 2 input error, 3 solver
-failure.  All output is deterministic for a fixed seed (benchmark timing is
-off by default for exactly this reason; opt in with --timing wall).
+failure.  The commands raise; ``main`` alone maps the exception to its exit
+code and one stderr line.  A SolverError (from the interior point solver or
+the simplex oracle) or a LinAlgError exits 3 with ``solver failure: ...``;
+an InstanceFormatError, OSError or other ValueError (a bad argument, an
+unreadable or unwritable file) exits 2 with ``error: ...``.  All output is
+deterministic for a fixed seed (benchmark timing is off by default for
+exactly this reason; opt in with --timing wall).
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ import time
 import numpy as np
 
 from . import _lapack
-from .instances import (
-    InstanceFormatError,
-    SplitMix64,
-    emit_report,
-    load_instance,
-    random_instance,
-)
+from .instances import SplitMix64, emit_report, load_instance, random_instance
 from .ipm import SolverConfig, SolverError, short_step_solve
 from .oracle import solve_lp
 from .verify import DEFAULT_SEED, run_suites
@@ -91,37 +90,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(text: str, out_path) -> int:
-    """Write ``text`` to ``out_path``, or stdout without one; returns the
-    exit code, 2 when the file cannot be written."""
-    if not out_path:
-        sys.stdout.write(text)
-        return 0
-    try:
+def _write_out(text: str, out_path) -> None:
+    """Write ``text`` to ``out_path``, or stdout without one."""
+    if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    else:
+        sys.stdout.write(text)
 
 
 def _solve_command(args) -> int:
-    try:
-        problem = load_instance(args.instance)
-    except (InstanceFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = SolverConfig(epsilon=args.epsilon)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = short_step_solve(problem, config)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+    problem = load_instance(args.instance)
+    report = short_step_solve(problem, SolverConfig(epsilon=args.epsilon))
     oracle_value = None
     if args.oracle:
         oracle_value = solve_lp(problem).value
@@ -129,30 +109,23 @@ def _solve_command(args) -> int:
             f"|value - oracle_value| = {abs(report.value - oracle_value)!r}",
             file=sys.stderr,
         )
-    return _write_out(
+    _write_out(
         emit_report(report, oracle_value=oracle_value, include_trace=args.trace),
         args.out,
     )
+    return 0
 
 
 def _benchmark_command(args) -> int:
     if args.d < 1:
-        print("error: --d must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--d must be at least 1")
     if args.trials < 0:
-        print("error: --trials must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("--trials must be nonnegative")
     if any(n < 2 for n in args.sizes):
-        print("error: all sizes must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("all sizes must be at least 2")
     if any(math.prod((n,) * args.d) > _MAX_BENCHMARK_ENTRIES for n in args.sizes):
-        print(f"error: n**d must be at most {_MAX_BENCHMARK_ENTRIES}", file=sys.stderr)
-        return 2
-    try:
-        config = SolverConfig(epsilon=args.epsilon)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"n**d must be at most {_MAX_BENCHMARK_ENTRIES}")
+    config = SolverConfig(epsilon=args.epsilon)
 
     # all instances are drawn from one stream before any solve starts, so the
     # table is a pure function of (d, sizes, trials, marginals, seed)
@@ -162,23 +135,14 @@ def _benchmark_command(args) -> int:
         for trial in range(args.trials):
             jobs.append((n, trial, random_instance((n,) * args.d, "U", rng, args.marginals)))
 
-    results = []
-    try:
-        for n, trial, problem in jobs:
-            started = time.perf_counter()
-            report = short_step_solve(problem, config)
-            elapsed = time.perf_counter() - started
-            oracle_value = solve_lp(problem).value if args.oracle else None
-            results.append((n, trial, report, oracle_value, elapsed))
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-
     lines = [_CSV_HEADER]
     per_size = {}
-    for n, trial, report, oracle_value, elapsed in results:
+    for n, trial, problem in jobs:
+        started = time.perf_counter()
+        report = short_step_solve(problem, config)
+        elapsed = time.perf_counter() - started
         per_size.setdefault(n, []).append(report.iterations)
-        oracle_field = "" if oracle_value is None else repr(float(oracle_value))
+        oracle_field = repr(float(solve_lp(problem).value)) if args.oracle else ""
         seconds_field = "" if args.timing == "none" else f"{elapsed:.6f}"
         lines.append(
             f"{args.d},{n},{trial},{report.iterations},{report.predicted_bound!r},"
@@ -189,13 +153,13 @@ def _benchmark_command(args) -> int:
         mean_iters = [float(np.mean(per_size[n])) for n in sizes]
         slope = float(np.polyfit(np.log(sizes), np.log(mean_iters), 1)[0])
         lines.append(f"# loglog_slope d={args.d}: {slope!r}")
-    return _write_out("\n".join(lines) + "\n", args.out)
+    _write_out("\n".join(lines) + "\n", args.out)
+    return 0
 
 
 def _verify_command(args) -> int:
     if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("--seed must be nonnegative")
     names = ("oracle", "barrier", "nullspace") if args.suite == "all" else (args.suite,)
     rows = run_suites(names, seed=args.seed, instance_paths=tuple(args.instances))
     failed = 0
@@ -212,11 +176,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if not any(name in os.environ for name in _THREAD_VARIABLES):
         _lapack.set_blas_threads(1)
-    if args.command == "solve":
-        return _solve_command(args)
-    if args.command == "benchmark":
-        return _benchmark_command(args)
-    return _verify_command(args)
+    command = {
+        "solve": _solve_command,
+        "benchmark": _benchmark_command,
+        "verify": _verify_command,
+    }[args.command]
+    try:
+        return command(args)
+    # LinAlgError is a ValueError, so it is caught first
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    # InstanceFormatError is a ValueError too
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -139,6 +139,10 @@ _FLOOR = 1e-300
 # centering runs full Newton steps until the decrement is this small
 _CENTER_TOL = 1e-10
 
+# a solve that has not certified after this many steps, in both phases
+# together, raises NonConvergenceError
+_MAX_ITERATIONS = 200_000
+
 # a Phase II step extrapolates the scaled steps at eta and eta * growth by at
 # most this factor t.  Each row lands on the slice to rounding, about 1e-16,
 # and the step's residual is t times theirs, so 1e4 keeps it near 1e-12.
@@ -173,7 +177,6 @@ class StepSizeViolationError(SolverError):
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-6
-    max_iterations: int = 200_000
     # the proximity bound: every trace row's decrement is at most this
     decrement_beta: ClassVar[float] = 0.25
 
@@ -181,8 +184,6 @@ class SolverConfig:
         # written so that NaN fails the checks too
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -370,7 +371,7 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
     iteration is the Phase I step count.  Raises SolverError if a decrement
     is not finite (costs so large that the Newton step overflows),
     StepSizeViolationError if a recorded decrement exceeds decrement_beta,
-    and NonConvergenceError if max_iterations runs out, in Phase I
+    and NonConvergenceError if _MAX_ITERATIONS runs out, in Phase I
     ("centering at eta ...") or in Phase II ("gap bound still ...").
     """
     config = config or SolverConfig()
@@ -413,7 +414,7 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
                 observer(PathState(eta=eta, point=u.reshape(problem.dims), decrement=dec, iteration=steps))
             if theta / eta <= config.epsilon:
                 break
-        if steps >= config.max_iterations:
+        if steps >= _MAX_ITERATIONS:
             raise NonConvergenceError(
                 f"gap bound still {theta / eta!r} after {steps} steps"
                 if trace

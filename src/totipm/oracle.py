@@ -5,9 +5,15 @@ constraint assembly, so agreement between the two is meaningful evidence.
 The dual checks take multipliers of the same dense rows, for both variants.
 Clarity over speed: each pivot LU-factors the basis matrix afresh (LAPACK
 getrf) and solves with that one factor (getrs) for the basic values, the
-duals and the entering column only.  Bland's rule (lowest eligible index for
-both the entering and the leaving variable) guarantees termination without
-anti-cycling perturbation.
+duals and the entering column only; the returned x and duals come from the
+last pivot's factor.  Bland's rule (lowest eligible index for both the
+entering and the leaving variable) guarantees termination without
+anti-cycling perturbation.  Reduced costs are compared with COST_TOL times
+max(1, max|c|), since their rounding grows with the costs: against a fixed
+1e-9, U 3x3x3 integer costs times 1e7 pivoted on rounding until the pivot
+budget ran out.  Every failure (the pivot budget, a singular basis, an
+artificial variable that cannot leave the basis, an LP that is not optimal)
+raises ``ipm.SolverError``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dgetrf, dgetrs
+from .ipm import SolverError
 from .polytope import MarginalProblem
 
 __all__ = [
@@ -29,9 +36,11 @@ __all__ = [
     "dual_value",
 ]
 
-# reduced cost below -COST_TOL means the column can still improve the objective
+# reduced cost below -COST_TOL * max(1, max|c|) means the column can still
+# improve the objective
 COST_TOL = 1e-9
-# basic values within RATIO_TOL of zero count as zero in the ratio test
+# basic values within RATIO_TOL of zero count as zero in the ratio test; the
+# transport right-hand sides are at most 1, so it needs no scale
 RATIO_TOL = 1e-11
 
 _MAX_PIVOTS_FACTOR = 50
@@ -63,53 +72,45 @@ def to_lp(problem: MarginalProblem) -> StandardFormLP:
     )
 
 
-def _pivot_once(a, b, c, basis):
-    """One Bland pivot.  Returns "optimal", "unbounded" or "pivoted"."""
-    m, n = a.shape
-    lu, piv, info = dgetrf(a[:, basis])
-    if info != 0:
-        raise np.linalg.LinAlgError("singular basis matrix")
-    xb, _ = dgetrs(lu, piv, b)
-    y, _ = dgetrs(lu, piv, c[basis], trans=1)
-    # Python floats: the loops below read them one at a time
-    reduced = (c - a.T @ y).tolist()
-
-    entering = -1
-    for j in range(n):
-        if reduced[j] < -COST_TOL:
-            entering = j
-            break
-    if entering < 0:
-        return "optimal", basis
-
-    col, _ = dgetrs(lu, piv, a[:, entering])
-    col, xb = col.tolist(), xb.tolist()
-    best_ratio = np.inf
-    leaving_pos = -1
-    for i in range(m):
-        if col[i] > RATIO_TOL:
-            ratio = max(xb[i], 0.0) / col[i]
-            if ratio < best_ratio - RATIO_TOL or (
-                ratio < best_ratio + RATIO_TOL
-                and (leaving_pos < 0 or basis[i] < basis[leaving_pos])
-            ):
-                best_ratio = ratio
-                leaving_pos = i
-    if leaving_pos < 0:
-        return "unbounded", basis
-    basis = basis.copy()
-    basis[leaving_pos] = entering
-    return "pivoted", basis
-
-
 def _run_simplex(a, b, c, basis):
+    """Bland pivots from ``basis`` until no column improves the objective.
+
+    Returns the status ("optimal" or "unbounded"), the final basis, and the
+    basic values and duals solved with the final basis's factor.
+    """
     m, n = a.shape
-    limit = _MAX_PIVOTS_FACTOR * (m + n) * max(m, 1)
-    for _ in range(limit):
-        status, basis = _pivot_once(a, b, c, basis)
-        if status != "pivoted":
-            return status, basis
-    raise RuntimeError("simplex exceeded its pivot budget; Bland's rule should prevent this")
+    # reduced costs carry rounding at the scale of the costs
+    cost_tol = COST_TOL * max(1.0, float(np.abs(c).max()))
+    basis = basis.copy()
+    for _ in range(_MAX_PIVOTS_FACTOR * (m + n) * max(m, 1)):
+        lu, piv, info = dgetrf(a[:, basis])
+        if info != 0:
+            raise SolverError("singular basis matrix")
+        xb, _ = dgetrs(lu, piv, b)
+        y, _ = dgetrs(lu, piv, c[basis], trans=1)
+        # Python floats: the loops below read them one at a time
+        reduced = (c - a.T @ y).tolist()
+        entering = next((j for j in range(n) if reduced[j] < -cost_tol), -1)
+        if entering < 0:
+            return "optimal", basis, xb, y
+
+        col, _ = dgetrs(lu, piv, a[:, entering])
+        col, values = col.tolist(), xb.tolist()
+        best_ratio = np.inf
+        leaving_pos = -1
+        for i in range(m):
+            if col[i] > RATIO_TOL:
+                ratio = max(values[i], 0.0) / col[i]
+                if ratio < best_ratio - RATIO_TOL or (
+                    ratio < best_ratio + RATIO_TOL
+                    and (leaving_pos < 0 or basis[i] < basis[leaving_pos])
+                ):
+                    best_ratio = ratio
+                    leaving_pos = i
+        if leaving_pos < 0:
+            return "unbounded", basis, xb, y
+        basis[leaving_pos] = entering
+    raise SolverError("simplex exceeded its pivot budget; Bland's rule should prevent this")
 
 
 def simplex_solve(lp: StandardFormLP) -> SimplexResult:
@@ -127,13 +128,10 @@ def simplex_solve(lp: StandardFormLP) -> SimplexResult:
     # phase 1: artificials with identity columns, minimise their sum
     a1 = np.hstack([a, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = np.arange(n, n + m)
-    status, basis = _run_simplex(a1, b, c1, basis)
+    status, basis, xb, _ = _run_simplex(a1, b, c1, np.arange(n, n + m))
     if status != "optimal":
-        raise RuntimeError(f"phase 1 ended with status {status!r}")
-    xb = np.linalg.solve(a1[:, basis], b)
-    phase1_value = float(c1[basis] @ xb)
-    if phase1_value > 1e-8:
+        raise SolverError(f"phase 1 ended with status {status!r}")
+    if float(c1[basis] @ xb) > 1e-8:
         return SimplexResult(
             status="infeasible",
             value=np.inf,
@@ -154,16 +152,13 @@ def simplex_solve(lp: StandardFormLP) -> SimplexResult:
                 replaced = True
                 break
         if not replaced:
-            raise RuntimeError(
+            raise SolverError(
                 "could not drive an artificial variable out of the basis; "
                 "the constraint rows are rank deficient"
             )
 
     # phase 2 over the original columns only
-    status, basis = _run_simplex(a, b, c, basis)
-    x = np.zeros(n)
-    xb = np.linalg.solve(a[:, basis], b)
-    x[basis] = xb
+    status, basis, xb, y = _run_simplex(a, b, c, basis)
     if status == "unbounded":
         return SimplexResult(
             status="unbounded",
@@ -171,7 +166,8 @@ def simplex_solve(lp: StandardFormLP) -> SimplexResult:
             x=np.full(n, np.nan),
             dual=np.full(m, np.nan),
         )
-    y = np.linalg.solve(a[:, basis].T, c[basis])
+    x = np.zeros(n)
+    x[basis] = xb
     y[flip] = -y[flip]
     return SimplexResult(
         status="optimal",
@@ -184,7 +180,7 @@ def simplex_solve(lp: StandardFormLP) -> SimplexResult:
 def solve_lp(problem: MarginalProblem) -> SimplexResult:
     result = simplex_solve(to_lp(problem))
     if result.status != "optimal":
-        raise RuntimeError(
+        raise SolverError(
             f"transport polytopes are bounded and nonempty, got {result.status!r}"
         )
     return result

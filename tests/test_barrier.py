@@ -148,6 +148,11 @@ class TestPseudoQuadratic:
         with pytest.raises(ValueError, match="infs or NaNs"):
             pseudo_quadratic(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pseudo_quadratic(np.eye(2), [bad, 1.0])
+
     def test_eigendecomposition_is_scipy_eigh(self):
         # the same bits as through scipy.linalg.eigh, also above the size
         # at which the reduction to tridiagonal form works in blocks

@@ -6,6 +6,8 @@ import scipy.optimize
 
 from streams import criterion_01_problems, criterion_02_problems
 
+import totipm.cli as cli
+from totipm.instances import emit_instance
 from totipm.oracle import (
     StandardFormLP,
     dual_feasible,
@@ -207,3 +209,23 @@ class TestHighsAgreement:
             )
             assert result.status == 0
             assert abs(result.fun - solve_lp(problem).value) <= 1e-12
+
+    def test_costs_at_scale_1e7(self, tmp_path, capsys):
+        # U 3x3x3 integer costs times 1e7: against an absolute reduced-cost
+        # tolerance of 1e-9 the simplex pivoted on rounding until its pivot
+        # budget ran out, and `solve --oracle` died with a traceback
+        rng = np.random.default_rng(8)
+        cost = rng.integers(0, 10, (3, 3, 3)) * 1e7
+        marginals = tuple(p / p.sum() for p in (rng.random(3) for _ in range(3)))
+        problem = MarginalProblem(cost=cost, marginals=marginals)
+        path = tmp_path / "scaled.json"
+        path.write_text(emit_instance(problem), encoding="utf-8")
+        assert cli.main(["solve", str(path), "--oracle", "--epsilon", "10"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+        lp = to_lp(problem)
+        highs = scipy.optimize.linprog(
+            lp.c, A_eq=lp.a, b_eq=lp.b, bounds=(0, None), method="highs"
+        )
+        assert highs.status == 0
+        assert abs(solve_lp(problem).value - highs.fun) <= 1e-12 * abs(highs.fun)

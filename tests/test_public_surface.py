@@ -83,10 +83,7 @@ def test_module_names(name, names):
 
 
 def test_solver_config_fields():
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "epsilon",
-        "max_iterations",
-    ]
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["epsilon"]
     assert SolverConfig().decrement_beta == 0.25
 
 
