@@ -59,13 +59,18 @@ class TestSolverConfig:
             {"epsilon": -1.0},
             {"decrement_beta": 0.0},
             {"decrement_beta": 0.3},
+            {"max_iterations": -1},
+            {"max_iterations": 0},
             {"epsilon": float("nan")},
+            {"max_iterations": float("nan")},
             {"epsilon": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        # decrement_beta is a class constant, not a setting
-        with pytest.raises(TypeError if "decrement_beta" in kwargs else ValueError):
+        # decrement_beta is a class constant and the iteration budget a module
+        # constant, so neither is a setting
+        not_settings = {"decrement_beta", "max_iterations"}
+        with pytest.raises(TypeError if not_settings & kwargs.keys() else ValueError):
             SolverConfig(**kwargs)
 
 
