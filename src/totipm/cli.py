@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 failed verify property, 2 input error, 3 solver
 failure.  The commands raise; ``main`` alone maps the exception to its exit
 code and one stderr line.  A SolverError (from the interior point solver or
 the simplex oracle) or a LinAlgError exits 3 with ``solver failure: ...``;
-an InstanceFormatError, OSError or other ValueError (a bad argument, an
-unreadable or unwritable file) exits 2 with ``error: ...``.  All output is
-deterministic for a fixed seed (benchmark timing is off by default for
-exactly this reason; opt in with --timing wall).
+an InstanceFormatError, an OSError (a file that cannot be read or written)
+or a rejected argument exits 2 with ``error: ...``.  Any other exception is
+a defect and keeps its traceback.  All output is deterministic for a fixed
+seed (benchmark timing is off by default for exactly this reason; opt in
+with --timing wall).
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ import time
 import numpy as np
 
 from . import _lapack
-from .instances import SplitMix64, emit_report, load_instance, random_instance
+from .instances import (
+    InstanceFormatError,
+    SplitMix64,
+    emit_report,
+    load_instance,
+    random_instance,
+)
 from .ipm import SolverConfig, SolverError, short_step_solve
 from .oracle import solve_lp
 from .verify import DEFAULT_SEED, run_suites
@@ -41,6 +48,10 @@ _MAX_BENCHMARK_ENTRIES = 1_000_000
 # 0.18-0.22 s.  Setting a variable from here would come too late: OpenBLAS
 # reads them when numpy loads it.
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class _ArgumentError(ValueError):
+    """A rejected command-line argument."""
 
 
 @functools.cache
@@ -99,9 +110,17 @@ def _write_out(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _config(epsilon: float) -> SolverConfig:
+    # SolverConfig's own check, raised as an argument error: a ValueError
+    # from inside a command is a defect, not bad input
+    if not 0.0 < epsilon < math.inf:
+        raise _ArgumentError("epsilon must be positive and finite")
+    return SolverConfig(epsilon=epsilon)
+
+
 def _solve_command(args) -> int:
     problem = load_instance(args.instance)
-    report = short_step_solve(problem, SolverConfig(epsilon=args.epsilon))
+    report = short_step_solve(problem, _config(args.epsilon))
     oracle_value = None
     if args.oracle:
         oracle_value = solve_lp(problem).value
@@ -118,14 +137,14 @@ def _solve_command(args) -> int:
 
 def _benchmark_command(args) -> int:
     if args.d < 1:
-        raise ValueError("--d must be at least 1")
+        raise _ArgumentError("--d must be at least 1")
     if args.trials < 0:
-        raise ValueError("--trials must be nonnegative")
+        raise _ArgumentError("--trials must be nonnegative")
     if any(n < 2 for n in args.sizes):
-        raise ValueError("all sizes must be at least 2")
+        raise _ArgumentError("all sizes must be at least 2")
     if any(math.prod((n,) * args.d) > _MAX_BENCHMARK_ENTRIES for n in args.sizes):
-        raise ValueError(f"n**d must be at most {_MAX_BENCHMARK_ENTRIES}")
-    config = SolverConfig(epsilon=args.epsilon)
+        raise _ArgumentError(f"n**d must be at most {_MAX_BENCHMARK_ENTRIES}")
+    config = _config(args.epsilon)
 
     # all instances are drawn from one stream before any solve starts, so the
     # table is a pure function of (d, sizes, trials, marginals, seed)
@@ -159,7 +178,7 @@ def _benchmark_command(args) -> int:
 
 def _verify_command(args) -> int:
     if args.seed < 0:
-        raise ValueError("--seed must be nonnegative")
+        raise _ArgumentError("--seed must be nonnegative")
     names = ("oracle", "barrier", "nullspace") if args.suite == "all" else (args.suite,)
     rows = run_suites(names, seed=args.seed, instance_paths=tuple(args.instances))
     failed = 0
@@ -176,19 +195,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if not any(name in os.environ for name in _THREAD_VARIABLES):
         _lapack.set_blas_threads(1)
-    command = {
-        "solve": _solve_command,
-        "benchmark": _benchmark_command,
-        "verify": _verify_command,
-    }[args.command]
     try:
-        return command(args)
-    # LinAlgError is a ValueError, so it is caught first
+        if args.command == "solve":
+            return _solve_command(args)
+        if args.command == "benchmark":
+            return _benchmark_command(args)
+        return _verify_command(args)
     except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    # InstanceFormatError is a ValueError too
-    except (OSError, ValueError) as exc:
+    except (InstanceFormatError, OSError, _ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,12 +8,17 @@ getrf) and solves with that one factor (getrs) for the basic values, the
 duals and the entering column only; the returned x and duals come from the
 last pivot's factor.  Bland's rule (lowest eligible index for both the
 entering and the leaving variable) guarantees termination without
-anti-cycling perturbation.  Reduced costs are compared with COST_TOL times
-max(1, max|c|), since their rounding grows with the costs: against a fixed
-1e-9, U 3x3x3 integer costs times 1e7 pivoted on rounding until the pivot
-budget ran out.  Every failure (the pivot budget, a singular basis, an
-artificial variable that cannot leave the basis, an LP that is not optimal)
-raises ``ipm.SolverError``.
+anti-cycling perturbation.  Reduced costs are compared with the larger of
+COST_TOL and COST_ULPS units of rounding (machine epsilon) at max|c|: their
+rounding grows with the largest cost, not with the cost differences, and
+the duals' rounding put it at most 14 such units on integer costs scaled
+by up to 1e12 and on costs shifted by up to 1e12.  Against a fixed 1e-9,
+U 3x3x3 integer costs times 1e7 pivoted on rounding until the pivot budget
+ran out; a cost offset of 1e12 leaves the tolerance near 0.06, below cost
+differences of 1.  Below max|c| of about 17 600 the tolerance is COST_TOL
+itself.  Every failure (the pivot budget, a singular basis, an artificial
+variable that cannot leave the basis, an LP that is not optimal) raises
+``ipm.SolverError``.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ __all__ = [
     "dual_value",
 ]
 
-# reduced cost below -COST_TOL * max(1, max|c|) means the column can still
-# improve the objective
+# a reduced cost below minus the larger of COST_TOL and COST_ULPS units of
+# rounding at the largest cost means the column can still improve the
+# objective
 COST_TOL = 1e-9
+COST_ULPS = 256
 # basic values within RATIO_TOL of zero count as zero in the ratio test; the
 # transport right-hand sides are at most 1, so it needs no scale
 RATIO_TOL = 1e-11
@@ -79,8 +86,9 @@ def _run_simplex(a, b, c, basis):
     basic values and duals solved with the final basis's factor.
     """
     m, n = a.shape
-    # reduced costs carry rounding at the scale of the costs
-    cost_tol = COST_TOL * max(1.0, float(np.abs(c).max()))
+    # reduced costs carry rounding at the scale of the largest cost
+    rounding = np.finfo(np.float64).eps * float(np.abs(c).max())
+    cost_tol = max(COST_TOL, COST_ULPS * rounding)
     basis = basis.copy()
     for _ in range(_MAX_PIVOTS_FACTOR * (m + n) * max(m, 1)):
         lu, piv, info = dgetrf(a[:, basis])
@@ -115,7 +123,8 @@ def _run_simplex(a, b, c, basis):
 
 def simplex_solve(lp: StandardFormLP) -> SimplexResult:
     """Two-phase dense simplex.  Status is "optimal", "infeasible" or
-    "unbounded"; on "optimal" the dual vector satisfies A^T y <= c."""
+    "unbounded"; on "optimal" the dual vector satisfies A^T y <= c up to the
+    reduced-cost tolerance."""
     a = np.array(lp.a, dtype=np.float64)
     b = np.array(lp.b, dtype=np.float64)
     c = np.array(lp.c, dtype=np.float64)

@@ -1,6 +1,7 @@
 """Every failure inside a command exits through ``cli.main``'s one map:
 a solver failure, the simplex oracle's included, exits 3 with one
-``solver failure: ...`` line and no traceback."""
+``solver failure: ...`` line and no traceback, and a ValueError that no
+input check raised is not taken for bad input."""
 
 import numpy as np
 import pytest
@@ -57,3 +58,22 @@ def test_lin_alg_error_exits_3_not_2(matching_instance, monkeypatch, capsys):
     monkeypatch.setattr(cli, "short_step_solve", singular)
     assert cli.main(["solve", matching_instance]) == 3
     assert capsys.readouterr().err == "solver failure: induced breakdown\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "benchmark"])
+def test_value_error_inside_a_command_is_not_an_input_error(
+    command, matching_instance, monkeypatch
+):
+    # only a rejected argument or instance exits 2; a ValueError raised while
+    # solving is a defect and keeps its traceback
+    def defect(problem, config):
+        raise ValueError("induced defect")
+
+    monkeypatch.setattr(cli, "short_step_solve", defect)
+    argv = (
+        ["solve", matching_instance]
+        if command == "solve"
+        else ["benchmark", "--sizes", "3", "--trials", "1"]
+    )
+    with pytest.raises(ValueError, match="induced defect"):
+        cli.main(argv)

@@ -9,6 +9,7 @@ from streams import criterion_01_problems, criterion_02_problems
 import totipm.cli as cli
 from totipm.instances import emit_instance
 from totipm.oracle import (
+    COST_ULPS,
     StandardFormLP,
     dual_feasible,
     dual_value,
@@ -229,3 +230,37 @@ class TestHighsAgreement:
         )
         assert highs.status == 0
         assert abs(solve_lp(problem).value - highs.fun) <= 1e-12 * abs(highs.fun)
+
+    @staticmethod
+    def assert_optimal_vertex(problem):
+        # HiGHS on c - min c, which is exact where a common offset dominates
+        # the costs: every feasible tensor has mass 1, so c and c - min c
+        # share their optimal tensors
+        lp = to_lp(problem)
+        low = lp.c.min()
+        highs = scipy.optimize.linprog(
+            lp.c - low, A_eq=lp.a, b_eq=lp.b, bounds=(0, None), method="highs"
+        )
+        assert highs.status == 0
+        result = solve_lp(problem)
+        assert abs((lp.c - low) @ result.x - highs.fun) <= 1e-12 * max(1.0, lp.c.max() - low)
+        rounding = np.finfo(np.float64).eps * np.abs(lp.c).max()
+        assert dual_feasible(problem, result.dual, tol=COST_ULPS * rounding)[0]
+
+    def test_cost_offset_1e12(self):
+        # a reduced-cost tolerance of 1e-9 max|c|, 1e3 here, stopped phase 2
+        # at phase 1's vertex: 1e12 + 2.004 against the optimum 1e12 + 0.729
+        rng = np.random.default_rng(1)
+        cost = 1e12 + rng.integers(0, 4, (3, 3))
+        marginals = tuple(p / p.sum() for p in (rng.random(3) for _ in range(2)))
+        self.assert_optimal_vertex(MarginalProblem(cost=cost, marginals=marginals))
+
+    def test_criterion_streams_plus_1e10(self):
+        for problem in criterion_01_problems() + criterion_02_problems():
+            self.assert_optimal_vertex(
+                MarginalProblem(
+                    cost=problem.cost + 1e10,
+                    marginals=problem.marginals,
+                    variant=problem.variant,
+                )
+            )
