@@ -9,7 +9,7 @@ duals and the entering column only; the returned x and duals come from the
 last pivot's factor.  Bland's rule (lowest eligible index for both the
 entering and the leaving variable) guarantees termination without
 anti-cycling perturbation.  Reduced costs are compared with the larger of
-COST_TOL and COST_ULPS units of rounding (machine epsilon) at max|c|: their
+COST_TOL and _COST_ULPS units of rounding (machine epsilon) at max|c|: their
 rounding grows with the largest cost, not with the cost differences, and
 the duals' rounding put it at most 14 such units on integer costs scaled
 by up to 1e12 and on costs shifted by up to 1e12.  Against a fixed 1e-9,
@@ -41,11 +41,11 @@ __all__ = [
     "dual_value",
 ]
 
-# a reduced cost below minus the larger of COST_TOL and COST_ULPS units of
+# a reduced cost below minus the larger of COST_TOL and _COST_ULPS units of
 # rounding at the largest cost means the column can still improve the
 # objective
 COST_TOL = 1e-9
-COST_ULPS = 256
+_COST_ULPS = 256
 # basic values within RATIO_TOL of zero count as zero in the ratio test; the
 # transport right-hand sides are at most 1, so it needs no scale
 RATIO_TOL = 1e-11
@@ -88,7 +88,7 @@ def _run_simplex(a, b, c, basis):
     m, n = a.shape
     # reduced costs carry rounding at the scale of the largest cost
     rounding = np.finfo(np.float64).eps * float(np.abs(c).max())
-    cost_tol = max(COST_TOL, COST_ULPS * rounding)
+    cost_tol = max(COST_TOL, _COST_ULPS * rounding)
     basis = basis.copy()
     for _ in range(_MAX_PIVOTS_FACTOR * (m + n) * max(m, 1)):
         lu, piv, info = dgetrf(a[:, basis])

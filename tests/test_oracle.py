@@ -9,13 +9,13 @@ from streams import criterion_01_problems, criterion_02_problems
 import totipm.cli as cli
 from totipm.instances import emit_instance
 from totipm.oracle import (
-    COST_ULPS,
     StandardFormLP,
     dual_feasible,
     dual_value,
     simplex_solve,
     solve_lp,
     to_lp,
+    _COST_ULPS,
 )
 from totipm.polytope import MarginalProblem, null_basis_matrix, start_point
 
@@ -245,7 +245,7 @@ class TestHighsAgreement:
         result = solve_lp(problem)
         assert abs((lp.c - low) @ result.x - highs.fun) <= 1e-12 * max(1.0, lp.c.max() - low)
         rounding = np.finfo(np.float64).eps * np.abs(lp.c).max()
-        assert dual_feasible(problem, result.dual, tol=COST_ULPS * rounding)[0]
+        assert dual_feasible(problem, result.dual, tol=_COST_ULPS * rounding)[0]
 
     def test_cost_offset_1e12(self):
         # a reduced-cost tolerance of 1e-9 max|c|, 1e3 here, stopped phase 2
