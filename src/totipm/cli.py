@@ -142,6 +142,9 @@ def _benchmark_command(args) -> int:
         raise _ArgumentError("--trials must be nonnegative")
     if any(n < 2 for n in args.sizes):
         raise _ArgumentError("all sizes must be at least 2")
+    if len(set(args.sizes)) < len(args.sizes):
+        # rows are keyed and grouped by (d, n, trial)
+        raise _ArgumentError("--sizes must not repeat a size")
     if any(math.prod((n,) * args.d) > _MAX_BENCHMARK_ENTRIES for n in args.sizes):
         raise _ArgumentError(f"n**d must be at most {_MAX_BENCHMARK_ENTRIES}")
     config = _config(args.epsilon)

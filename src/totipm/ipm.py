@@ -50,9 +50,14 @@ this way is made safe by two measures:
   norm of 1/3 at most, so the correction and its rounding error are small,
   where a solve from y = 0 carries an error relative to |y|, which grows
   like eta.  The workspace carries A^T y beside y, both as a line in eta,
-  so the warm start needs no adjoint.  The first pass's adjoint call maps
-  the line afresh together with its correction: an image of y carried from
-  step to step instead picks up rounding outside the range of A^T, which
+  so the warm start needs no adjoint.  The lines are stacked: y's as one
+  (2, m) array, and A^T y's with the cost as the three rows of one (3, N)
+  array, so that w = u A^T y - (eta u c - 1) at every eta is one product
+  of the rows (1, t, -eta), t the eta's place on the line, with u times
+  that array, plus 1; zero lines before the first solve give y = 0 and w =
+  1 - eta u c.  The first pass's adjoint call maps the line afresh
+  together with its correction: an image of y carried from step to step
+  instead picks up rounding outside the range of A^T, which
   no correction removes and each extrapolation magnifies (on five
   criterion-1 solves at epsilon 1e-8 the decrement then strayed from the
   QR one by up to 1.8e-4 over the last 30 path points, against 2.2e-7);
@@ -216,15 +221,19 @@ class _NewtonWorkspace:
     ill-conditioned."""
 
     def __init__(self, problem: MarginalProblem):
-        self.cost = problem.cost.ravel()
         # the problem's own ConstraintSystem: its tables outlive the workspace
         self.op = problem.constraints
         self.rhs = self.op.rhs
-        # (etas, line of y, line of A^T y) of the last Cholesky solve, each
-        # line the value at etas[0] and the change from there to etas[1]:
-        # at a fixed iterate the multipliers y are affine in eta, so the
-        # lines extrapolate y and A^T y to any eta
-        self.last = None
+        # the lines in eta of the last Cholesky solve: at a fixed iterate the
+        # multipliers y are affine in eta, so two solved rows extrapolate y
+        # and A^T y to any eta.  Each line is its value at eta0 and its
+        # change over span; ys holds y's, and the first two rows of lines
+        # hold A^T y's, beside the cost as the third row.  Zero lines with
+        # (eta0, span) = (0, 1) give y = 0 before the first solve.
+        self.ys = np.zeros((2, len(self.rhs)))
+        self.lines = np.zeros((3, problem.size))
+        self.lines[2] = problem.cost.ravel()
+        self.eta0, self.span = 0.0, 1.0
         # dense constraint rows, set when the QR tail starts
         self.rows = None
 
@@ -232,7 +241,6 @@ class _NewtonWorkspace:
         """Factor at the iterate u and return the scaled steps w = delta / u
         at each eta, one row each."""
         op = self.op
-        dg = np.multiply.outer(etas, u * self.cost) - 1.0
         if self.rows is None:
             # potrf reads M's own buffer in Fortran order (M.T, equal to M)
             # and factors the fresh array in place, with no copy
@@ -247,8 +255,13 @@ class _NewtonWorkspace:
                 # from w itself, and w is updated by the corrections rather
                 # than rebuilt from y, which grows like eta and would leave
                 # rounding of that size in A u w.
-                y, aty = self.warm_start(etas)
-                w = u * aty - dg
+                # (1, t, -eta) per eta, t its place on the lines: (1, t)
+                # reads y off its line, and (1, t, -eta) @ (u * lines) + 1 =
+                # u A^T y - dg, dg = eta u c - 1
+                coef = np.array([(1.0, (eta - self.eta0) / self.span, -eta) for eta in etas])
+                y = coef[:, :2] @ self.ys
+                w = coef @ (u * self.lines)
+                w += 1.0
                 for passes in range(1 + _MAX_CSNE_STEPS):
                     gap = self.rhs - op.apply(u + u * w)
                     z = _lapack.dpotrs(factor, gap.T, lower=1)[0].T
@@ -265,17 +278,21 @@ class _NewtonWorkspace:
                         # afresh rather than carried along with y: rounding
                         # in a carried image leaves the range of A^T, where
                         # no correction reaches it, and the extrapolation
-                        # magnifies it from one iterate to the next
+                        # magnifies it from one iterate to the next.  One
+                        # eta gives a line of zero change over span 1.
                         y += z
                         k = len(etas)
-                        both = np.concatenate((z, y[:1], y[1:] - y[:1]))
+                        both = np.concatenate((z, y[:1], y[-1:] - y[:1]))
                         images = op.adjoint(both)
-                        self.last = (etas, both[k:], images[k:])
+                        self.ys = both[k:]
+                        self.lines[:2] = images[k:]
+                        self.eta0, self.span = etas[0], (etas[-1] - etas[0]) or 1.0
                         back = images[:k]
                     w += u * back
             # M is singular, or too close to it for CSNE to settle
             self.start_tail()
         # QR tail: the step read off an orthogonal projection of dg
+        dg = np.multiply.outer(etas, u * self.lines[2]) - 1.0
         q, r = np.linalg.qr(u[:, None] * self.rows.T, mode="reduced")
         w = dg - (dg @ q) @ q.T
         # near the path the projection cancels almost all of dg; a second
@@ -290,15 +307,6 @@ class _NewtonWorkspace:
 
     def start_tail(self):
         self.rows = self.op.matrix
-
-    def warm_start(self, etas):
-        """The multipliers y and A^T y at each eta: 0 before the first
-        Cholesky solve, extrapolated along the last one's lines after it."""
-        if self.last is None:
-            return np.zeros((len(etas), len(self.rhs))), np.zeros((len(etas), len(self.cost)))
-        (e0, e1), ys, images = self.last
-        t = [(eta - e0) / (e1 - e0) for eta in etas]
-        return np.multiply.outer(t, ys[1]) + ys[0], np.multiply.outer(t, images[1]) + images[0]
 
 
 def _check_domain(u):
@@ -324,16 +332,15 @@ def newton_direction(problem: MarginalProblem, u, eta: float):
     return (flat * w).reshape(problem.dims), math.sqrt(w @ w)
 
 
-def _next_eta(gram, eta, growth, radius, eta_stop):
+def _next_eta(g00, g01, g11, eta, growth, radius, eta_stop):
     """The next eta and its place t on the line w(t) = w0 + t (w1 - w0) of
-    the scaled steps at eta (t = 0) and eta * growth (t = 1), given their
-    Gram matrix.
+    the scaled steps at eta (t = 0) and eta * growth (t = 1), given the
+    entries g00, g01, g11 of their Gram matrix.
 
     |w(t)|^2 = g00 + 2 t (g01 - g00) + t^2 |w1 - w0|^2; the step goes to
     its largest t at which that reaches radius^2, never shorter than t = 1,
     and never past t = _MAX_EXTRAPOLATION or eta_stop unless t = 1 is.
     """
-    (g00, g01), (_, g11) = gram.tolist()
     a = g00 - 2.0 * g01 + g11
     b = g01 - g00
     c = g00 - radius * radius
@@ -394,8 +401,8 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
         # at eta and at eta * growth, and the line through them the step at
         # any other eta
         w = workspace.scaled_steps(u, (eta, eta * growth))
-        gram = w @ w.T
-        dec = math.sqrt(gram[0, 0])
+        (g00, g01), (_, g11) = (w @ w.T).tolist()
+        dec = math.sqrt(g00)
         if not math.isfinite(dec):
             # a damped step delta / (1 + inf) would not move the iterate
             raise SolverError(
@@ -421,8 +428,9 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
                 else f"centering at eta {eta!r} still at decrement {dec!r} after {steps} steps"
             )
         if trace:
-            t, eta = _next_eta(gram, eta, growth, radius, eta_stop)
-            u = u + u * (w[0] + t * (w[1] - w[0]))
+            t, eta = _next_eta(g00, g01, g11, eta, growth, radius, eta_stop)
+            # the scaled step at t on the line: (1 - t) w0 + t w1
+            u = u + u * ((1.0 - t, t) @ w)
         else:
             delta = u * w[0]
             u = u + (delta / (1.0 + dec) if dec > config.decrement_beta else delta)
@@ -442,10 +450,12 @@ def short_step_solve(problem: MarginalProblem, config: SolverConfig | None = Non
 
 
 def predicted_iterations(problem: MarginalProblem, epsilon: float) -> float:
-    """Iteration bound C0 sqrt(prod n_k) log(sqrt(2) prod n_k / (eps prod_k min_i p_k[i])).
+    """Iteration bound C0 sqrt(prod n_k) max(0, log(sqrt(2) prod n_k / (eps prod_k min_i p_k[i]))).
 
     C0 = DEFAULT_C0 is an empirical calibration constant, reported rather
-    than derived; the sqrt/log shape is what the theory fixes.
+    than derived; the sqrt/log shape is what the theory fixes.  The log is
+    floored at 0: past eps = sqrt(2) prod n_k / prod_k min_i p_k[i] it turns
+    negative, and a negative count bounds nothing.
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -453,5 +463,5 @@ def predicted_iterations(problem: MarginalProblem, epsilon: float) -> float:
     min_prod = 1.0
     for p in problem.marginals:
         min_prod *= float(p.min())
-    return DEFAULT_C0 * math.sqrt(n_prod) * math.log(math.sqrt(2.0) * n_prod / (epsilon * min_prod))
+    return DEFAULT_C0 * math.sqrt(n_prod) * max(math.log(math.sqrt(2.0) * n_prod / (epsilon * min_prod)), 0.0)
 

@@ -123,6 +123,11 @@ class TestSolveCommand:
         assert cli.main(["solve", matching_instance, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_predicted_bound_never_negative(self, matching_instance, capsys):
+        # eps 1e300 is past the point where the bound's log turns negative
+        assert cli.main(["solve", matching_instance, "--epsilon", "1e300"]) == 0
+        assert json.loads(capsys.readouterr().out)["predicted_bound"] == 0.0
+
     def test_bad_config_exits_2(self, matching_instance, capsys):
         assert cli.main(["solve", matching_instance, "--epsilon", "0"]) == 2
         assert "epsilon must be positive and finite" in capsys.readouterr().err
@@ -212,6 +217,15 @@ class TestBenchmarkCommand:
 
     def test_rejects_small_sizes(self, capsys):
         assert cli.main(["benchmark", "--sizes", "1", "4"]) == 2
+
+    def test_repeated_sizes_exit_2(self, monkeypatch, capsys):
+        # two rows keyed d,n,trial = 2,3,0 would both go into size 3's group
+        def refuse(*args, **kwargs):
+            raise AssertionError("instance drawn")
+
+        monkeypatch.setattr(cli, "random_instance", refuse)
+        assert cli.main(["benchmark", "--d", "2", "--sizes", "3", "3", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "error: --sizes must not repeat a size\n"
 
     @pytest.mark.parametrize(
         "argv",

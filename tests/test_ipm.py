@@ -332,27 +332,53 @@ class TestStructuredNewton:
         assert workspace.rows is not None
         assert len(solves) == 1 + ipm._MAX_CSNE_STEPS
 
-    def test_warm_start_is_exact_at_a_fixed_iterate(self):
-        # the multipliers y, and with them A^T y, are affine in eta, so two
-        # solved rows give both at any other eta
+    @pytest.mark.parametrize("cut", [2**62, -1], ids=["dense", "reductions"])
+    def test_warm_start_is_exact_at_a_fixed_iterate(self, cut, monkeypatch):
+        # the multipliers y, and with them A^T y, are affine in eta, so the
+        # stacked lines of two solved rows give both at any other eta; on
+        # each side of the cut for apply and adjoint
+        monkeypatch.setattr(polytope, "_DENSE_PRODUCT_CROSSOVER", cut)
         rng = np.random.default_rng(70)
         problem = random_problem((3, 4), rng)
+        assert problem.constraints._dense_products == (cut > 0)
         u = random_interior_point(problem, rng).ravel()
         workspace = ipm._NewtonWorkspace(problem)
         workspace.scaled_steps(u, (2.0, 3.0))
-        y, aty = workspace.warm_start((5.0,))
+        coef = np.array([1.0, (5.0 - workspace.eta0) / workspace.span, -5.0])
+        y = coef[:2] @ workspace.ys
+        aty = coef[:2] @ workspace.lines[:2]
         cold = ipm._NewtonWorkspace(problem)
         cold.scaled_steps(u, (5.0,))
-        _, ys, images = cold.last
-        assert np.allclose(y, ys, rtol=1e-9, atol=1e-12)
-        assert np.allclose(aty, images, rtol=1e-9, atol=1e-12)
+        assert np.allclose(y, cold.ys[0], rtol=1e-9, atol=1e-12)
+        assert np.allclose(aty, cold.lines[0], rtol=1e-9, atol=1e-12)
+        # one eta leaves a line of zero change
+        assert not cold.ys[1].any() and not cold.lines[1].any()
         # both match the y that solves A diag(u^2) A^T y = A diag(u) dg +
-        # (b - A u) at eta = 5
+        # (b - A u) at eta = 5, and the fused product with the cost row
+        # gives the first w = u A^T y - dg
         a, b, c = problem.constraints.matrix, problem.constraints.rhs, problem.cost.ravel()
         dg = 5.0 * u * c - 1.0
         ref = np.linalg.solve((a * u * u) @ a.T, a @ (u * dg) + b - a @ u)
-        assert np.allclose(y[0], ref, rtol=1e-9, atol=1e-12)
-        assert np.allclose(aty[0], a.T @ ref, rtol=1e-9, atol=1e-12)
+        assert np.allclose(y, ref, rtol=1e-9, atol=1e-12)
+        assert np.allclose(aty, a.T @ ref, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(workspace.lines[2], c)
+        assert np.allclose(coef @ (u * workspace.lines) + 1.0, u * (a.T @ ref) - dg, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("cut", [2**62, -1], ids=["dense", "reductions"])
+    def test_one_eta_matches_first_of_two(self, cut, monkeypatch):
+        # newton_direction asks for one eta: its line buffer keeps two rows,
+        # and the step is the first row of a two-eta call at the iterate
+        monkeypatch.setattr(polytope, "_DENSE_PRODUCT_CROSSOVER", cut)
+        rng = np.random.default_rng(76)
+        for dims, variant in (((3, 4), "U"), ((2, 3, 2), "V")):
+            problem = random_problem(dims, rng, variant)
+            assert problem.constraints._dense_products == (cut > 0)
+            u = random_interior_point(problem, rng).ravel()
+            for eta in (1.0, 40.0):
+                one = ipm._NewtonWorkspace(problem).scaled_steps(u, (eta,))
+                two = ipm._NewtonWorkspace(problem).scaled_steps(u, (eta, 2.0 * eta))
+                assert one.shape == (1, problem.size)
+                assert np.abs(one[0] - two[0]).max() <= 1e-12
 
     @pytest.mark.parametrize("cuts", [(2**62, 2**62), (-1, 2**62), (2**62, -1), (-1, -1)])
     def test_settle_identity(self, cuts, monkeypatch):
@@ -672,6 +698,14 @@ class TestPredictedIterations:
             assert predicted_iterations(problem, eps) == pytest.approx(
                 reduced, rel=1e-12
             )
+
+    def test_never_negative(self):
+        # past eps = sqrt(2) N / prod min p, 22.6 for a uniform 2x2, the log
+        # term turns negative; it is floored at 0
+        problem = uniform_problem((2, 2))
+        assert predicted_iterations(problem, 22.0) > 0.0
+        assert predicted_iterations(problem, 23.0) == 0.0
+        assert predicted_iterations(problem, 1e300) == 0.0
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
