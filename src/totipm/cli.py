@@ -32,7 +32,7 @@ from .instances import (
 )
 from .ipm import SolverConfig, SolverError, short_step_solve
 from .oracle import solve_lp
-from .verify import DEFAULT_SEED, run_suites
+from .verify import DEFAULT_SEED, SUITES, run_suites
 
 __all__ = ["main"]
 
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the built-in property suites")
     ver.add_argument(
-        "--suite", choices=("all", "oracle", "barrier", "nullspace"), default="all",
+        "--suite", choices=("all", *SUITES), default="all",
     )
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ver.add_argument(
@@ -182,7 +182,7 @@ def _benchmark_command(args) -> int:
 def _verify_command(args) -> int:
     if args.seed < 0:
         raise _ArgumentError("--seed must be nonnegative")
-    names = ("oracle", "barrier", "nullspace") if args.suite == "all" else (args.suite,)
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     rows = run_suites(names, seed=args.seed, instance_paths=tuple(args.instances))
     failed = 0
     for suite, name, ok, detail in rows:

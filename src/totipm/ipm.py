@@ -455,7 +455,10 @@ def predicted_iterations(problem: MarginalProblem, epsilon: float) -> float:
     C0 = DEFAULT_C0 is an empirical calibration constant, reported rather
     than derived; the sqrt/log shape is what the theory fixes.  The log is
     floored at 0: past eps = sqrt(2) prod n_k / prod_k min_i p_k[i] it turns
-    negative, and a negative count bounds nothing.
+    negative, and a negative count bounds nothing.  It bounds the Phase II
+    path steps, not Phase I's centering, while a report's ``iterations``
+    counts both, so at large eps they can exceed it: the uniform 2x2
+    matching instance at eps 1e300 takes 3 against a bound of 0.0.
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")

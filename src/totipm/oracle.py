@@ -1,7 +1,10 @@
 """Independent LP oracle: a dense two-phase simplex with Bland's rule.
 
-Deliberately shares no machinery with the interior point solver beyond the
-constraint assembly, so agreement between the two is meaningful evidence.
+It solves a problem's transport LP only: a bounded polytope holding the
+product of the marginals, with positive right-hand sides, so there is no
+row flip and no infeasible or unbounded outcome.  Deliberately shares no
+machinery with the interior point solver beyond the constraint assembly,
+so agreement between the two is meaningful evidence.
 The dual checks take multipliers of the same dense rows, for both variants.
 Clarity over speed: each pivot LU-factors the basis matrix afresh (LAPACK
 getrf) and solves with that one factor (getrs) for the basic values, the
@@ -16,9 +19,10 @@ by up to 1e12 and on costs shifted by up to 1e12.  Against a fixed 1e-9,
 U 3x3x3 integer costs times 1e7 pivoted on rounding until the pivot budget
 ran out; a cost offset of 1e12 leaves the tolerance near 0.06, below cost
 differences of 1.  Below max|c| of about 17 600 the tolerance is COST_TOL
-itself.  Every failure (the pivot budget, a singular basis, an artificial
-variable that cannot leave the basis, an LP that is not optimal) raises
-``ipm.SolverError``.
+itself.  Every failure (the pivot budget, a singular basis, a ratio test
+with no leaving column, mass left on the artificials after phase 1, an
+artificial variable that cannot leave the basis) is rounding on this LP and
+raises ``ipm.SolverError``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ __all__ = [
     "StandardFormLP",
     "SimplexResult",
     "to_lp",
-    "simplex_solve",
     "solve_lp",
     "dual_feasible",
     "dual_value",
@@ -64,7 +67,6 @@ class StandardFormLP:
 
 @dataclass(frozen=True)
 class SimplexResult:
-    status: str
     value: float
     x: np.ndarray
     dual: np.ndarray
@@ -82,8 +84,8 @@ def to_lp(problem: MarginalProblem) -> StandardFormLP:
 def _run_simplex(a, b, c, basis):
     """Bland pivots from ``basis`` until no column improves the objective.
 
-    Returns the status ("optimal" or "unbounded"), the final basis, and the
-    basic values and duals solved with the final basis's factor.
+    Returns the final basis, and the basic values and duals solved with the
+    final basis's factor.
     """
     m, n = a.shape
     # reduced costs carry rounding at the scale of the largest cost
@@ -100,7 +102,7 @@ def _run_simplex(a, b, c, basis):
         reduced = (c - a.T @ y).tolist()
         entering = next((j for j in range(n) if reduced[j] < -cost_tol), -1)
         if entering < 0:
-            return "optimal", basis, xb, y
+            return basis, xb, y
 
         col, _ = dgetrs(lu, piv, a[:, entering])
         col, values = col.tolist(), xb.tolist()
@@ -116,37 +118,26 @@ def _run_simplex(a, b, c, basis):
                     best_ratio = ratio
                     leaving_pos = i
         if leaving_pos < 0:
-            return "unbounded", basis, xb, y
+            # the transport polytope is bounded, so only rounding gets here
+            raise SolverError("no column can leave the basis")
         basis[leaving_pos] = entering
     raise SolverError("simplex exceeded its pivot budget; Bland's rule should prevent this")
 
 
-def simplex_solve(lp: StandardFormLP) -> SimplexResult:
-    """Two-phase dense simplex.  Status is "optimal", "infeasible" or
-    "unbounded"; on "optimal" the dual vector satisfies A^T y <= c up to the
-    reduced-cost tolerance."""
-    a = np.array(lp.a, dtype=np.float64)
-    b = np.array(lp.b, dtype=np.float64)
-    c = np.array(lp.c, dtype=np.float64)
+def solve_lp(problem: MarginalProblem) -> SimplexResult:
+    """Two-phase dense simplex on the transport LP of ``problem``.  The dual
+    vector satisfies A^T y <= c up to the reduced-cost tolerance."""
+    lp = to_lp(problem)
+    a, b, c = lp.a, lp.b, lp.c
     m, n = a.shape
-
-    flip = b < 0.0
-    a[flip] = -a[flip]
-    b[flip] = -b[flip]
 
     # phase 1: artificials with identity columns, minimise their sum
     a1 = np.hstack([a, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    status, basis, xb, _ = _run_simplex(a1, b, c1, np.arange(n, n + m))
-    if status != "optimal":
-        raise SolverError(f"phase 1 ended with status {status!r}")
+    basis, xb, _ = _run_simplex(a1, b, c1, np.arange(n, n + m))
     if float(c1[basis] @ xb) > 1e-8:
-        return SimplexResult(
-            status="infeasible",
-            value=np.inf,
-            x=np.full(n, np.nan),
-            dual=np.full(m, np.nan),
-        )
+        # the product of the marginals is feasible, so only rounding gets here
+        raise SolverError("phase 1 left mass on the artificial variables")
 
     # drive any artificial still basic at zero level out of the basis; the
     # constraint rows are full rank, so a real replacement column exists
@@ -167,32 +158,10 @@ def simplex_solve(lp: StandardFormLP) -> SimplexResult:
             )
 
     # phase 2 over the original columns only
-    status, basis, xb, y = _run_simplex(a, b, c, basis)
-    if status == "unbounded":
-        return SimplexResult(
-            status="unbounded",
-            value=-np.inf,
-            x=np.full(n, np.nan),
-            dual=np.full(m, np.nan),
-        )
+    basis, xb, y = _run_simplex(a, b, c, basis)
     x = np.zeros(n)
     x[basis] = xb
-    y[flip] = -y[flip]
-    return SimplexResult(
-        status="optimal",
-        value=float(c @ x),
-        x=x,
-        dual=y,
-    )
-
-
-def solve_lp(problem: MarginalProblem) -> SimplexResult:
-    result = simplex_solve(to_lp(problem))
-    if result.status != "optimal":
-        raise SolverError(
-            f"transport polytopes are bounded and nonempty, got {result.status!r}"
-        )
-    return result
+    return SimplexResult(value=float(c @ x), x=x, dual=y)
 
 
 def dual_feasible(problem: MarginalProblem, y, tol: float = 1e-8):

@@ -22,8 +22,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import barrier, oracle
-from .instances import SplitMix64, load_instance, random_instance
-from .ipm import SolverConfig, short_step_solve
+from .instances import InstanceFormatError, SplitMix64, load_instance, random_instance
+from .ipm import SolverConfig, SolverError, short_step_solve
 from .polytope import (
     MarginalProblem,
     null_basis_matrix,
@@ -241,9 +241,11 @@ def oracle_suite(seed: int = DEFAULT_SEED, instance_paths=()) -> list:
 
     for path in instance_paths:
         name = f"instance-file:{path}"
+        # an unreadable, malformed or unsolvable file fails its check; any
+        # other exception is a defect and keeps its traceback
         try:
             checks += _path_checks(name, load_instance(path))
-        except Exception as exc:
+        except (InstanceFormatError, OSError, SolverError, np.linalg.LinAlgError) as exc:
             checks.append((name, False, f"{type(exc).__name__}: {exc}"))
     return checks
 

@@ -1,13 +1,38 @@
-"""The acceptance-criterion result lines and the instance streams of the
-criteria; criteria 1 and 2 share theirs with the solver tests.
+"""The acceptance-criterion result lines, the instance streams of the
+criteria (criteria 1 and 2 share theirs with the solver tests), and the
+problem builders of the polytope, solver and oracle tests.
 
 These live here, not in ``conftest.py``, so that the test modules can
 import them by a name no other test directory uses.
 """
 
+import numpy as np
+
 from totipm.instances import SplitMix64, random_instance
+from totipm.polytope import MarginalProblem
 
 criterion_lines = []
+
+
+def uniform_problem(dims, cost=None, variant="U"):
+    """Uniform marginals; ``cost`` defaults to zeros."""
+    cost = np.zeros(dims) if cost is None else np.asarray(cost, dtype=float)
+    return MarginalProblem(
+        cost=cost,
+        marginals=tuple(np.full(n, 1.0 / n) for n in dims),
+        variant=variant,
+    )
+
+
+def random_problem(dims, rng, variant="U"):
+    """Integer costs in 0..9 and marginals drawn in [0.2, 1) then
+    normalised, all from the numpy generator ``rng``."""
+    cost = rng.integers(0, 10, size=dims).astype(float)
+    marginals = []
+    for n in dims:
+        p = rng.uniform(0.2, 1.0, size=n)
+        marginals.append(p / p.sum())
+    return MarginalProblem(cost=cost, marginals=tuple(marginals), variant=variant)
 
 
 def criterion_01_problems(seed=20240):

@@ -3,11 +3,14 @@ a solver failure, the simplex oracle's included, exits 3 with one
 ``solver failure: ...`` line and no traceback, and a ValueError that no
 input check raised is not taken for bad input."""
 
+import math
+
 import numpy as np
 import pytest
 
 import totipm.cli as cli
 import totipm.oracle as oracle
+import totipm.verify as verify
 from totipm.instances import emit_instance
 from totipm.polytope import MarginalProblem
 
@@ -33,7 +36,13 @@ def no_pivot_budget(monkeypatch):
     return "simplex exceeded its pivot budget"
 
 
-@pytest.mark.parametrize("fault", [singular_basis, no_pivot_budget])
+def no_leaving_column(monkeypatch):
+    # no entry of the entering column passes the ratio test
+    monkeypatch.setattr(oracle, "RATIO_TOL", math.inf)
+    return "no column can leave the basis"
+
+
+@pytest.mark.parametrize("fault", [singular_basis, no_pivot_budget, no_leaving_column])
 @pytest.mark.parametrize("command", ["solve", "benchmark"])
 def test_oracle_failure_exits_3(command, fault, matching_instance, monkeypatch, capsys):
     message = fault(monkeypatch)
@@ -77,3 +86,16 @@ def test_value_error_inside_a_command_is_not_an_input_error(
     )
     with pytest.raises(ValueError, match="induced defect"):
         cli.main(argv)
+
+
+def test_defect_in_a_verify_instance_file_keeps_its_traceback(
+    matching_instance, monkeypatch
+):
+    # an unreadable, malformed or unsolvable file is a failed check; any
+    # other exception is a defect, not a [FAIL] row
+    def defect(path):
+        raise ValueError("induced defect")
+
+    monkeypatch.setattr(verify, "load_instance", defect)
+    with pytest.raises(ValueError, match="induced defect"):
+        cli.main(["verify", "--suite", "oracle", "--instances", matching_instance])

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from streams import criterion_01_problems, criterion_02_problems
+from streams import (
+    criterion_01_problems,
+    criterion_02_problems,
+    random_problem,
+    uniform_problem,
+)
 
 import totipm._lapack as _lapack
 import totipm.ipm as ipm
@@ -26,24 +31,6 @@ from totipm.polytope import (
     residual_norm,
     start_point,
 )
-
-
-def uniform_problem(dims, cost=None, variant="U"):
-    cost = np.zeros(dims) if cost is None else np.asarray(cost, dtype=float)
-    return MarginalProblem(
-        cost=cost,
-        marginals=tuple(np.full(n, 1.0 / n) for n in dims),
-        variant=variant,
-    )
-
-
-def random_problem(dims, rng, variant="U"):
-    cost = rng.integers(0, 10, size=dims).astype(float)
-    marginals = []
-    for n in dims:
-        p = rng.uniform(0.2, 1.0, size=n)
-        marginals.append(p / p.sum())
-    return MarginalProblem(cost=cost, marginals=tuple(marginals), variant=variant)
 
 
 class TestSolverConfig:

@@ -4,37 +4,23 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from streams import criterion_01_problems, criterion_02_problems
+from streams import (
+    criterion_01_problems,
+    criterion_02_problems,
+    random_problem,
+    uniform_problem,
+)
 
 import totipm.cli as cli
 from totipm.instances import emit_instance
 from totipm.oracle import (
-    StandardFormLP,
     dual_feasible,
     dual_value,
-    simplex_solve,
     solve_lp,
     to_lp,
     _COST_ULPS,
 )
 from totipm.polytope import MarginalProblem, null_basis_matrix, start_point
-
-
-def uniform_problem(dims, cost, variant="U"):
-    return MarginalProblem(
-        cost=np.asarray(cost, dtype=float),
-        marginals=tuple(np.full(n, 1.0 / n) for n in dims),
-        variant=variant,
-    )
-
-
-def random_problem(dims, rng, variant="U"):
-    cost = rng.integers(0, 10, size=dims).astype(float)
-    marginals = []
-    for n in dims:
-        p = rng.uniform(0.2, 1.0, size=n)
-        marginals.append(p / p.sum())
-    return MarginalProblem(cost=cost, marginals=tuple(marginals), variant=variant)
 
 
 def enumerate_bfs_minimum(lp):
@@ -90,9 +76,8 @@ class TestSimplexAgainstEnumeration:
         rng = np.random.default_rng(51)
         for _ in range(8):
             problem = random_problem((3, 3), rng)
-            lp = to_lp(problem)
-            assert simplex_solve(lp).value == pytest.approx(
-                enumerate_bfs_minimum(lp), abs=1e-9
+            assert solve_lp(problem).value == pytest.approx(
+                enumerate_bfs_minimum(to_lp(problem)), abs=1e-9
             )
 
     def test_random_2x2x2_both_variants(self):
@@ -100,9 +85,8 @@ class TestSimplexAgainstEnumeration:
         for variant in ("U", "V"):
             for _ in range(4):
                 problem = random_problem((2, 2, 2), rng, variant=variant)
-                lp = to_lp(problem)
-                assert simplex_solve(lp).value == pytest.approx(
-                    enumerate_bfs_minimum(lp), abs=1e-9
+                assert solve_lp(problem).value == pytest.approx(
+                    enumerate_bfs_minimum(to_lp(problem)), abs=1e-9
                 )
 
     def test_v_variant_segment_oracle(self):
@@ -128,18 +112,6 @@ class TestSimplexAgainstEnumeration:
 
 
 class TestSimplexStatuses:
-    def test_infeasible(self):
-        lp = StandardFormLP(
-            a=np.array([[1.0], [1.0]]), b=np.array([1.0, 2.0]), c=np.array([0.0])
-        )
-        assert simplex_solve(lp).status == "infeasible"
-
-    def test_unbounded(self):
-        lp = StandardFormLP(
-            a=np.array([[1.0, -1.0]]), b=np.array([0.0]), c=np.array([-1.0, 0.0])
-        )
-        assert simplex_solve(lp).status == "unbounded"
-
     def test_vertex_support(self):
         rng = np.random.default_rng(54)
         for _ in range(5):

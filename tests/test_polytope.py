@@ -3,6 +3,8 @@ import functools
 import numpy as np
 import pytest
 
+from streams import uniform_problem
+
 import totipm.polytope as polytope
 from totipm.oracle import solve_lp
 from totipm.polytope import (
@@ -14,12 +16,6 @@ from totipm.polytope import (
     residual_norm,
     start_point,
 )
-
-
-def uniform_problem(dims, variant="U", cost=None):
-    cost = np.zeros(dims) if cost is None else cost
-    marginals = tuple(np.full(n, 1.0 / n) for n in dims)
-    return MarginalProblem(cost=cost, marginals=marginals, variant=variant)
 
 
 def null_basis(problem):
