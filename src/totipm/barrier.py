@@ -3,7 +3,7 @@
 The barrier is sigma(u) = -sum_i log u_i on tensors with positive entries.
 Its derivatives are coordinatewise (gradient -1/u, diagonal Hessian 1/u^2),
 which the solver exploits; this module also provides the directional third
-form, a self-concordance slack check, the Moore-Penrose pseudo-quadratic
+form, the self-concordance slack, the Moore-Penrose pseudo-quadratic
 y^T A^+ y used by complexity certificates, and the complexity value of the
 barrier restricted to an affine slice.
 """
@@ -20,7 +20,7 @@ __all__ = [
     "ConcordanceSample",
     "CertificateError",
     "directional_forms",
-    "check_self_concordance",
+    "self_concordance_slack",
     "pseudo_quadratic",
     "complexity_value",
 ]
@@ -56,17 +56,16 @@ def directional_forms(u, v) -> ConcordanceSample:
     )
 
 
-def check_self_concordance(sample: ConcordanceSample):
-    """Slack of |third| <= 2 second^{3/2} and whether it holds.
+def self_concordance_slack(sample: ConcordanceSample) -> float:
+    """The slack 2 second^{3/2} - |third| of the self-concordance inequality.
 
-    Returns ``(ok, slack)`` with slack = bound - |third|; ok tolerates
-    rounding down to -1e-12.  The log barrier satisfies the inequality, with
-    equality along single-coordinate directions.
+    The log barrier satisfies the inequality, so the slack is nonnegative up
+    to rounding, with equality along single-coordinate directions; the
+    ``verify`` module judges it.
     """
     if sample.second < 0.0:
         raise ValueError("second directional derivative cannot be negative")
-    slack = 2.0 * sample.second**1.5 - abs(sample.third)
-    return slack >= -1e-12, float(slack)
+    return float(2.0 * sample.second**1.5 - abs(sample.third))
 
 
 def pseudo_quadratic(a, y) -> float:

@@ -113,9 +113,10 @@ def _write_out(text: str, out_path) -> None:
 def _config(epsilon: float) -> SolverConfig:
     # SolverConfig's own check, raised as an argument error: a ValueError
     # from inside a command is a defect, not bad input
-    if not 0.0 < epsilon < math.inf:
-        raise _ArgumentError("epsilon must be positive and finite")
-    return SolverConfig(epsilon=epsilon)
+    try:
+        return SolverConfig(epsilon=epsilon)
+    except ValueError as exc:
+        raise _ArgumentError(str(exc)) from exc
 
 
 def _solve_command(args) -> int:

@@ -162,7 +162,13 @@ def parse_instance(text: str) -> MarginalProblem:
             )
         marginals.append(p)
 
-    return MarginalProblem(cost=cost, marginals=tuple(marginals), variant=variant)
+    # the checks above cover MarginalProblem's own but for the marginals
+    # taken together (the domain floor of the product of their minima), so
+    # its ValueError here is about the marginals
+    try:
+        return MarginalProblem(cost=cost, marginals=tuple(marginals), variant=variant)
+    except ValueError as exc:
+        raise InstanceFormatError("marginals", str(exc)) from exc
 
 
 def load_instance(path) -> MarginalProblem:

@@ -105,7 +105,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import _lapack
-from .polytope import MarginalProblem, start_point
+from .polytope import DOMAIN_FLOOR, MarginalProblem, start_point
 
 __all__ = [
     "SolverConfig",
@@ -137,9 +137,6 @@ _SHORT_STEP_GAMMA = 1.0 / 16.0
 # mode).  Measured totals on d=2,3 uniform ladders sat at 11x-13x the C0=1
 # value with the short step alone and sit at 1.4x-1.9x with the longer steps
 DEFAULT_C0 = 16.0
-
-# entries this small mean the iterate has effectively hit the boundary
-_FLOOR = 1e-300
 
 # centering runs full Newton steps until the decrement is this small
 _CENTER_TOL = 1e-10
@@ -310,10 +307,10 @@ class _NewtonWorkspace:
 
 
 def _check_domain(u):
-    if float(u.min()) < _FLOOR:
+    if float(u.min()) < DOMAIN_FLOOR:
         raise SolverError(
-            "an iterate entry fell below 1e-300; the point has reached the "
-            "boundary of the positive orthant"
+            f"an iterate entry fell below {DOMAIN_FLOOR!r}; the point has reached "
+            "the boundary of the positive orthant"
         )
 
 

@@ -5,7 +5,8 @@ product of the marginals, with positive right-hand sides, so there is no
 row flip and no infeasible or unbounded outcome.  Deliberately shares no
 machinery with the interior point solver beyond the constraint assembly,
 so agreement between the two is meaningful evidence.
-The dual checks take multipliers of the same dense rows, for both variants.
+The dual slack and value take multipliers of the same dense rows, for both
+variants.
 Clarity over speed: each pivot LU-factors the basis matrix afresh (LAPACK
 getrf) and solves with that one factor (getrs) for the basic values, the
 duals and the entering column only; the returned x and duals come from the
@@ -40,7 +41,7 @@ __all__ = [
     "SimplexResult",
     "to_lp",
     "solve_lp",
-    "dual_feasible",
+    "min_dual_slack",
     "dual_value",
 ]
 
@@ -164,12 +165,10 @@ def solve_lp(problem: MarginalProblem) -> SimplexResult:
     return SimplexResult(value=float(c @ x), x=x, dual=y)
 
 
-def dual_feasible(problem: MarginalProblem, y, tol: float = 1e-8):
-    """Check c - A^T y >= -tol everywhere for row multipliers ``y`` of
-    ``problem.constraints``.  Returns ``(ok, min_slack)``."""
-    slack = problem.cost.ravel() - problem.constraints.matrix.T @ y
-    min_slack = float(slack.min())
-    return min_slack >= -tol, min_slack
+def min_dual_slack(problem: MarginalProblem, y) -> float:
+    """The smallest entry of c - A^T y for row multipliers ``y`` of
+    ``problem.constraints``: ``y`` is dual feasible where it is >= 0."""
+    return float((problem.cost.ravel() - problem.constraints.matrix.T @ y).min())
 
 
 def dual_value(problem: MarginalProblem, y) -> float:

@@ -8,9 +8,14 @@ positive probability vectors p_1..p_d:
 * variant ``"V"`` (mode-sum): summing along mode k yields the outer
   product of the other marginals.
 
-For d = 2 the variants coincide.  Both contain the product tensor, the
-outer product of p_1, .., p_d, which is strictly positive and serves as the
-interior starting point of the path-following solver.
+For d = 2 the variants coincide.  For d = 1 they differ: under "V" the one
+sum along the one mode is the empty product 1, so the slice is the
+probability simplex and the marginal constrains nothing, while under "U"
+the marginal is the only feasible point (costs [1, 2, 3] with marginal
+[0.2, 0.3, 0.5] give 1.0 under "V" and 2.3 under "U").  Both contain the
+product tensor, the outer product of p_1, .., p_d, which is strictly
+positive and serves as the interior starting point of the path-following
+solver.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ VARIANTS = ("U", "V")
 # Marginal sums must match 1 this tightly at construction; forgiving
 # normalisation belongs to the instance loader, not here.
 _MARGINAL_SUM_TOL = 1e-12
+
+# iterate entries this small mean the solver's point has effectively hit the
+# boundary; a problem whose start point, the product of the marginals, has
+# an entry below it is rejected at construction
+DOMAIN_FLOOR = 1e-300
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +81,12 @@ class MarginalProblem:
                 raise ValueError(f"marginal {k} must be strictly positive")
             if abs(p.sum() - 1.0) > _MARGINAL_SUM_TOL:
                 raise ValueError(f"marginal {k} sums to {p.sum()!r}, expected 1")
+        low = math.prod(float(p.min()) for p in margs)
+        if low < DOMAIN_FLOOR:
+            raise ValueError(
+                f"the product of the marginal minima is {low!r}, below the solver's "
+                f"domain floor of {DOMAIN_FLOOR!r}; the start point would underflow"
+            )
         cost.flags.writeable = False
         for p in margs:
             p.flags.writeable = False

@@ -2,9 +2,11 @@
 
 Each property the solver rests on is measured by one function here, which
 takes its instances, random generator and sample counts and returns the
-worst-case numbers without judging them.  The suites call these with small
-samples; acceptance criteria 1-9 (``tests/test_acceptance.py``) call the
-same functions with their own streams, seeds, sample counts and thresholds.
+worst-case numbers, and judged by one function next to it, which holds the
+property's thresholds and turns the numbers into checks.  The suites call
+both with small samples; acceptance criteria 1-9
+(``tests/test_acceptance.py``) call the same two with their own streams,
+seeds and sample counts, so each threshold is written once, here.
 
 Three suites: "oracle" (interior point vs simplex agreement, duality
 certificates, path integrity, vertex distance bands), "barrier" (complexity
@@ -33,7 +35,17 @@ from .polytope import (
     start_point,
 )
 
-__all__ = ["SUITES", "oracle_suite", "barrier_suite", "nullspace_suite", "run_suites"]
+__all__ = [
+    "SUITES", "oracle_suite", "barrier_suite", "nullspace_suite", "run_suites",
+    # each property's measure, then its judge
+    "path_audit", "worst_path", "path_checks",
+    "orthant_complexity", "orthant_complexity_checks",
+    "restricted_complexity", "restricted_complexity_checks",
+    "self_concordance", "self_concordance_checks",
+    "pseudo_quadratic_certificates", "pseudo_quadratic_checks",
+    "vertex_band", "vertex_band_checks",
+    "null_basis_structure", "null_basis_checks",
+]
 
 DEFAULT_SEED = 20240
 
@@ -44,7 +56,11 @@ PathAudit = namedtuple(
 # how worst_path combines each field
 _PATH_WORST = (sum, max, max, max, min, max, min, max)
 
-NullBasisAudit = namedtuple("NullBasisAudit", "count expected dim rank kernel mode_sum")
+NullBasisAudit = namedtuple("NullBasisAudit", "count dim rank kernel mode_sum")
+
+
+def _tag(dims) -> str:
+    return "x".join(str(n) for n in dims)
 
 
 def path_audit(problems) -> PathAudit:
@@ -68,10 +84,9 @@ def path_audit(problems) -> PathAudit:
         report = short_step_solve(problem, SolverConfig(epsilon=1e-6), observer=watch)
         lp = oracle.solve_lp(problem)
         decrements, residuals, entries, excesses = zip(*rows)
-        _, slack = oracle.dual_feasible(problem, lp.dual)
         audits.append(PathAudit(
             1, abs(report.value - lp.value), max(decrements), max(residuals),
-            min(entries), max(excesses) - lp.value, slack,
+            min(entries), max(excesses) - lp.value, oracle.min_dual_slack(problem, lp.dual),
             abs(oracle.dual_value(problem, lp.dual) - lp.value),
         ))
     return worst_path(audits)
@@ -80,6 +95,20 @@ def path_audit(problems) -> PathAudit:
 def worst_path(audits) -> PathAudit:
     """The worst case over several path audits."""
     return PathAudit(*(worst(column) for worst, column in zip(_PATH_WORST, zip(*audits))))
+
+
+def path_checks(name, audit: PathAudit) -> list:
+    """The value, trace, feasibility and duality checks of a path audit."""
+    return [
+        (f"{name}:value", audit.value_gap <= 1e-6, f"|ipm - simplex| = {audit.value_gap!r}"),
+        (f"{name}:trace",
+         audit.max_decrement <= SolverConfig.decrement_beta and audit.max_gap_excess <= 1e-8,
+         f"max decrement = {audit.max_decrement!r}, max gap excess = {audit.max_gap_excess!r}"),
+        (f"{name}:feasibility", audit.max_residual <= 1e-8 and audit.min_entry > 0.0,
+         f"max residual = {audit.max_residual!r}, min entry = {audit.min_entry!r}"),
+        (f"{name}:duality", audit.min_dual_slack >= -1e-8 and audit.duality_gap <= 1e-8,
+         f"min dual slack = {audit.min_dual_slack!r}, duality gap = {audit.duality_gap!r}"),
+    ]
 
 
 def orthant_complexity(sizes, rng, samples: int) -> float:
@@ -93,8 +122,12 @@ def orthant_complexity(sizes, rng, samples: int) -> float:
     return worst
 
 
-def restricted_complexity(problems, rng, samples: int) -> tuple:
-    """(points, max theta(u) - N) of the barrier restricted to the slice at
+def orthant_complexity_checks(name, worst: float) -> list:
+    return [(name, worst <= 1e-10, f"max |theta - N| = {worst!r}")]
+
+
+def restricted_complexity(problems, rng, samples: int) -> float:
+    """max theta(u) - N of the barrier restricted to the slice at
     ``samples`` random interior points of each problem."""
     worst = -math.inf
     for problem in problems:
@@ -102,7 +135,11 @@ def restricted_complexity(problems, rng, samples: int) -> tuple:
         for _ in range(samples):
             u = random_interior_point(problem, rng)
             worst = max(worst, barrier.complexity_value(u.ravel(), basis) - problem.size)
-    return samples * len(problems), worst
+    return worst
+
+
+def restricted_complexity_checks(name, excess: float) -> list:
+    return [(name, excess <= 1e-8, f"max restricted value - N = {excess!r}")]
 
 
 def self_concordance(rng, samples: int, single: int) -> tuple:
@@ -115,7 +152,7 @@ def self_concordance(rng, samples: int, single: int) -> tuple:
         n = int(rng.integers(2, 12))
         u = rng.uniform(0.05, 3.0, size=n)
         v = rng.normal(size=n)
-        _, slack = barrier.check_self_concordance(barrier.directional_forms(u, v))
+        slack = barrier.self_concordance_slack(barrier.directional_forms(u, v))
         worst_slack = min(worst_slack, slack)
     worst_eq = 0.0
     for _ in range(single):
@@ -123,9 +160,19 @@ def self_concordance(rng, samples: int, single: int) -> tuple:
         u = rng.uniform(0.2, 3.0, size=n)
         v = np.zeros(n)
         v[int(rng.integers(0, n))] = rng.uniform(0.1, 2.0) * (-1.0) ** int(rng.integers(0, 2))
-        _, slack = barrier.check_self_concordance(barrier.directional_forms(u, v))
+        slack = barrier.self_concordance_slack(barrier.directional_forms(u, v))
         worst_eq = max(worst_eq, abs(slack))
     return worst_slack, worst_eq
+
+
+def self_concordance_checks(name, measured: tuple) -> list:
+    """The slack is nonnegative up to rounding, and rounding alone along
+    single coordinates."""
+    worst_slack, worst_eq = measured
+    return [
+        (name, worst_slack >= -1e-12, f"min slack = {worst_slack!r}"),
+        (f"{name}-tight", worst_eq <= 1e-12, f"max |slack| = {worst_eq!r}"),
+    ]
 
 
 def pseudo_quadratic_certificates(rng, samples: int, dominated: int, rank_one: int) -> tuple:
@@ -160,6 +207,15 @@ def pseudo_quadratic_certificates(rng, samples: int, dominated: int, rank_one: i
     return deficient, worst_gap, worst_cap, worst_unit
 
 
+def pseudo_quadratic_checks(name, measured: tuple) -> list:
+    _, gap, cap, unit = measured
+    return [
+        (f"{name}-oracle", gap <= 1e-6, f"max |value - oracle| = {gap!r}"),
+        (f"{name}-cap", cap <= 1.0 + 1e-10, f"max value - 1 = {cap - 1.0!r}"),
+        (f"{name}-unit", unit <= 1e-10, f"max |value - 1| = {unit!r}"),
+    ]
+
+
 def vertex_band(problems) -> tuple:
     """(min dist - floor, max dist - sqrt(2)), dist from the simplex vertex
     to the product tensor, floor = prod_k min_i p_k[i]."""
@@ -173,78 +229,66 @@ def vertex_band(problems) -> tuple:
     return worst_low, worst_high
 
 
+def vertex_band_checks(name, measured: tuple) -> list:
+    low, high = measured
+    return [(name, low >= 0.0 and high <= 0.0,
+             f"dist - floor = {low!r}, dist - sqrt(2) = {high!r}")]
+
+
 def null_basis_structure(dims, variant: str) -> NullBasisAudit:
-    """Null basis count, predicted count, null_space_dim, rank, max |A e|,
-    and for "V" the largest mode sum of an element (None for "U"), of the
-    slice of shape ``dims`` (it does not depend on cost or marginals)."""
+    """Null basis count, null_space_dim, rank, max |A e|, and for "V" the
+    largest mode sum of an element (None for "U"), of the slice of shape
+    ``dims`` (it does not depend on cost or marginals)."""
     uniform = tuple(np.full(n, 1.0 / n) for n in dims)
     problem = MarginalProblem(cost=np.zeros(dims), marginals=uniform, variant=variant)
     mat = null_basis_matrix(problem)
     basis = list(mat.T.reshape((-1,) + tuple(dims)))
-    if variant == "U":
-        expected = math.prod(dims) - 1 - sum(n - 1 for n in dims)
-    else:
-        expected = math.prod(n - 1 for n in dims)
     rank = int(np.linalg.matrix_rank(mat)) if mat.size else 0
     rows = problem.constraints.matrix
     kernel = max((float(np.abs(rows @ e.ravel()).max()) for e in basis), default=0.0)
-    mode_sum = None
-    if variant == "V":
-        mode_sum = max(
-            (float(np.abs(e.sum(axis=k)).max()) for e in basis for k in range(len(dims))),
-            default=0.0,
-        )
-    return NullBasisAudit(len(basis), expected, null_space_dim(problem), rank, kernel, mode_sum)
+    mode_sum = None if variant == "U" else max(
+        (float(np.abs(e.sum(axis=k)).max()) for e in basis for k in range(len(dims))), default=0.0
+    )
+    return NullBasisAudit(len(basis), null_space_dim(problem), rank, kernel, mode_sum)
 
 
-def _path_checks(name, problem) -> list:
-    audit = path_audit([problem])
-    return [
-        (f"{name}:value", audit.value_gap <= 1e-6, f"|ipm - simplex| = {audit.value_gap!r}"),
-        (f"{name}:trace",
-         audit.max_decrement <= SolverConfig.decrement_beta and audit.max_gap_excess <= 1e-8,
-         f"max decrement = {audit.max_decrement!r}, max gap excess = {audit.max_gap_excess!r}"),
-        (f"{name}:feasibility", audit.max_residual <= 1e-8 and audit.min_entry > 0.0,
-         f"max residual = {audit.max_residual!r}, min entry = {audit.min_entry!r}"),
-        (f"{name}:duality", audit.min_dual_slack >= -1e-8 and audit.duality_gap <= 1e-8,
-         f"min dual slack = {audit.min_dual_slack!r}, duality gap = {audit.duality_gap!r}"),
+def null_basis_checks(dims, variant: str, audit: NullBasisAudit) -> list:
+    """The basis has null_space_dim independent elements in the kernel of
+    the rows, and under "V" every mode sum of an element is zero."""
+    tag = _tag(dims)
+    checks = [
+        (f"basis-count-{variant}-{tag}", audit.count == audit.dim == audit.rank,
+         f"count = {audit.count}, expected = {audit.dim}, rank = {audit.rank}"),
+        (f"basis-kernel-{variant}-{tag}", audit.kernel <= 1e-12,
+         f"max |A e| = {audit.kernel!r}"),
     ]
+    if audit.mode_sum is not None:
+        checks.append((f"basis-mode-sums-{tag}", audit.mode_sum <= 1e-12,
+                       f"max |mode sum| = {audit.mode_sum!r}"))
+    return checks
 
 
 def oracle_suite(seed: int = DEFAULT_SEED, instance_paths=()) -> list:
     checks = []
     rng = SplitMix64(seed)
-    layout = [
-        ((2, 2), "U"),
-        ((3, 3), "U"),
-        ((4, 3), "U"),
-        ((2, 2, 2), "U"),
-        ((3, 2, 2), "U"),
-        ((2, 2), "V"),
-        ((3, 3), "V"),
-        ((2, 2, 2), "V"),
-        ((3, 2, 2), "V"),
-    ]
+    layout = [(dims, "U") for dims in ((2, 2), (3, 3), (4, 3), (2, 2, 2), (3, 2, 2))]
+    layout += [(dims, "V") for dims in ((2, 2), (3, 3), (2, 2, 2), (3, 2, 2))]
     for i, (dims, variant) in enumerate(layout):
         kind = "uniform" if i % 2 == 0 else "random"
         problem = random_instance(dims, variant, rng, kind)
-        checks += _path_checks(f"{variant}-{'x'.join(str(n) for n in dims)}-{kind}", problem)
+        checks += path_checks(f"{variant}-{_tag(dims)}-{kind}", path_audit([problem]))
 
     for dims in [(3, 3), (2, 2, 2)]:
         for rep in range(3):
-            low, high = vertex_band([random_instance(dims, "U", rng, "random")])
-            checks.append(
-                (f"vertex-band-{'x'.join(str(n) for n in dims)}-{rep}",
-                 low >= -1e-12 and high <= 1e-12,
-                 f"dist - floor = {low!r}, dist - sqrt(2) = {high!r}")
-            )
+            band = vertex_band([random_instance(dims, "U", rng, "random")])
+            checks += vertex_band_checks(f"vertex-band-{_tag(dims)}-{rep}", band)
 
     for path in instance_paths:
         name = f"instance-file:{path}"
         # an unreadable, malformed or unsolvable file fails its check; any
         # other exception is a defect and keeps its traceback
         try:
-            checks += _path_checks(name, load_instance(path))
+            checks += path_checks(name, path_audit([load_instance(path)]))
         except (InstanceFormatError, OSError, SolverError, np.linalg.LinAlgError) as exc:
             checks.append((name, False, f"{type(exc).__name__}: {exc}"))
     return checks
@@ -255,52 +299,27 @@ def barrier_suite(seed: int = DEFAULT_SEED) -> list:
     rng = np.random.default_rng(seed)
 
     for n in (4, 8, 27):
-        worst = orthant_complexity((n,), rng, 20)
-        checks.append((f"complexity-exact-{n}", worst <= 1e-10, f"max |theta - N| = {worst!r}"))
+        checks += orthant_complexity_checks(f"complexity-exact-{n}", orthant_complexity((n,), rng, 20))
 
     for dims, variant in [((3, 3), "U"), ((2, 2, 2), "U"), ((2, 2, 2), "V")]:
         problem = random_instance(dims, variant, SplitMix64(seed + sum(dims)), "random")
-        _, excess = restricted_complexity([problem], rng, 20)
-        checks.append(
-            (f"complexity-bound-{variant}-{'x'.join(str(n) for n in dims)}",
-             excess <= 1e-8, f"max restricted value - N = {excess!r}")
+        checks += restricted_complexity_checks(
+            f"complexity-bound-{variant}-{_tag(dims)}", restricted_complexity([problem], rng, 20)
         )
-
-    worst_slack, worst_eq = self_concordance(rng, 2000, 200)
-    checks.append(("self-concordance", worst_slack >= -1e-12, f"min slack = {worst_slack!r}"))
-    checks.append(("self-concordance-tight", worst_eq <= 1e-12, f"max |slack| = {worst_eq!r}"))
-
-    _, gap, cap, unit = pseudo_quadratic_certificates(rng, 25, 25, 25)
-    checks.append(("pseudo-quadratic-oracle", gap <= 1e-6, f"max |value - oracle| = {gap!r}"))
-    checks.append(("pseudo-quadratic-cap", cap <= 1.0 + 1e-10, f"max value - 1 = {cap - 1.0!r}"))
-    checks.append(("pseudo-quadratic-unit", unit <= 1e-10, f"max |value - 1| = {unit!r}"))
+    checks += self_concordance_checks("self-concordance", self_concordance(rng, 2000, 200))
+    checks += pseudo_quadratic_checks("pseudo-quadratic", pseudo_quadratic_certificates(rng, 25, 25, 25))
     return checks
 
 
 def nullspace_suite(seed: int = DEFAULT_SEED) -> list:
     """Null bases depend on the shape alone, so this suite draws nothing;
     it takes ``seed`` like the other suites and ignores it."""
-    checks = []
-    shapes = [(2, 2), (3, 3), (4, 3), (2, 2, 2), (3, 2, 2), (3, 3, 3)]
-    for dims in shapes:
-        tag = "x".join(str(n) for n in dims)
-        for variant in ("U", "V"):
-            audit = null_basis_structure(dims, variant)
-            checks.append(
-                (f"basis-count-{variant}-{tag}",
-                 audit.count == audit.expected == audit.dim == audit.rank,
-                 f"count = {audit.count}, expected = {audit.expected}, rank = {audit.rank}")
-            )
-            checks.append(
-                (f"basis-kernel-{variant}-{tag}", audit.kernel <= 1e-12,
-                 f"max |A e| = {audit.kernel!r}")
-            )
-            if variant == "V":
-                checks.append(
-                    (f"basis-mode-sums-{tag}", audit.mode_sum <= 1e-12,
-                     f"max |mode sum| = {audit.mode_sum!r}")
-                )
-    return checks
+    return [
+        check
+        for dims in [(2, 2), (3, 3), (4, 3), (2, 2, 2), (3, 2, 2), (3, 3, 3)]
+        for variant in ("U", "V")
+        for check in null_basis_checks(dims, variant, null_basis_structure(dims, variant))
+    ]
 
 
 SUITES = {
@@ -314,10 +333,6 @@ def run_suites(names, seed: int = DEFAULT_SEED, instance_paths=()) -> list:
     """Run the named suites in order; returns (suite, name, ok, detail) rows."""
     rows = []
     for suite_name in names:
-        runner = SUITES[suite_name]
-        if suite_name == "oracle":
-            results = runner(seed, instance_paths)
-        else:
-            results = runner(seed)
-        rows.extend((suite_name, name, ok, detail) for name, ok, detail in results)
+        args = (seed, instance_paths) if suite_name == "oracle" else (seed,)
+        rows += [(suite_name, *check) for check in SUITES[suite_name](*args)]
     return rows

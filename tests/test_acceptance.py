@@ -2,11 +2,15 @@
 
 The summary lines are collected in ``streams.criterion_lines`` and printed
 after the run by conftest (pytest's capture would swallow them mid-test);
-the same text is the assertion message on failure.  Criteria 1-9 measure
-through the property functions behind ``totipm verify``; criteria 1, 2 and
-7 share two module-scoped solve batches.
+the same text is the assertion message on failure.  Criteria 1-9 measure and
+judge each property with the functions behind ``totipm verify``, so this
+file holds only their samples (streams, seeds, sample counts, instance
+counts and criterion 1's time budget) and no threshold of a property.
+Criteria 1, 2 and 7 share two module-scoped solve batches.  Criterion 10
+reads the table of ``totipm benchmark``.
 """
 
+import csv
 import time
 
 import numpy as np
@@ -16,16 +20,29 @@ import streams
 
 import totipm.cli as cli
 import totipm.verify as verify
-from totipm.instances import SplitMix64, random_instance
-from totipm.ipm import DEFAULT_C0, SolverConfig, predicted_iterations, short_step_solve
+from totipm.ipm import DEFAULT_C0
 
 SEED = 20240
 
 
-def _criterion(number, label, ok, detail):
-    line = f"[{'PASS' if ok else 'FAIL'}] criterion {number:02d} {label}: {detail}"
+def _criterion(number, label, sample, checks):
+    """Record one criterion, which passes when each of its (name, ok,
+    detail) checks does.  The line gives the sample and every check's
+    detail; past four checks, the count that pass and the failing ones."""
+    failed = [f"{name} ({detail})" for name, ok, detail in checks if not ok]
+    if len(checks) <= 4:
+        details = [detail for _, _, detail in checks]
+    else:
+        details = [f"{len(checks) - len(failed)}/{len(checks)} checks pass", *failed]
+    line = f"[{'FAIL' if failed else 'PASS'}] criterion {number:02d} {label}: " + "; ".join(
+        [sample, *details]
+    )
     streams.criterion_lines.append(line)
-    assert ok, line
+    assert not failed, line
+
+
+def _count(audit, expected):
+    return ("instances", audit.count == expected, f"{audit.count} of {expected} instances")
 
 
 @pytest.fixture(scope="module")
@@ -44,130 +61,94 @@ def v_batch():
 
 def test_criterion_01_u_variant_matches_simplex(u_batch):
     audit, elapsed = u_batch
-    ok = audit.count == 50 and audit.value_gap <= 1e-6 and elapsed < 60.0
-    _criterion(
-        1,
-        "U-variant agrees with the simplex oracle",
-        ok,
-        f"50 instances, max |value - oracle| = {audit.value_gap:.3e}, {elapsed:.1f}s",
-    )
+    value, *_ = verify.path_checks("U", audit)
+    budget = ("budget", elapsed < 60.0, f"{elapsed:.1f}s of 60s")
+    _criterion(1, "U-variant agrees with the simplex oracle", "d = 2 and 3",
+               [_count(audit, 50), value, budget])
 
 
 def test_criterion_02_v_variant_matches_simplex(v_batch):
     audit, elapsed = v_batch
-    ok = audit.count == 20 and audit.value_gap <= 1e-6
-    _criterion(
-        2,
-        "V-variant agrees with the simplex oracle",
-        ok,
-        f"20 instances, max |value - oracle| = {audit.value_gap:.3e}, {elapsed:.1f}s",
-    )
+    value, *_ = verify.path_checks("V", audit)
+    _criterion(2, "V-variant agrees with the simplex oracle", f"d = 2 and 3, {elapsed:.1f}s",
+               [_count(audit, 20), value])
 
 
 def test_criterion_03_orthant_complexity_exact():
     worst = verify.orthant_complexity((4, 8, 27), np.random.default_rng(SEED), 100)
-    _criterion(
-        3,
-        "orthant barrier complexity equals the entry count",
-        worst <= 1e-10,
-        f"N in (4, 8, 27), 100 points each, max |value - N| = {worst:.3e}",
-    )
+    _criterion(3, "orthant barrier complexity equals the entry count",
+               "N in (4, 8, 27), 100 points each",
+               verify.orthant_complexity_checks("complexity-exact", worst))
 
 
 def test_criterion_04_restricted_complexity_bounded():
-    points, worst_excess = verify.restricted_complexity(
-        streams.criterion_04_problems(SEED + 2), np.random.default_rng(SEED), 100
-    )
-    _criterion(
-        4,
-        "restricted complexity never exceeds the entry count",
-        worst_excess <= 1e-8,
-        f"{points} interior points, max value - bound = {worst_excess:.3e}",
-    )
+    problems = streams.criterion_04_problems(SEED + 2)
+    excess = verify.restricted_complexity(problems, np.random.default_rng(SEED), 100)
+    _criterion(4, "restricted complexity never exceeds the entry count",
+               f"{100 * len(problems)} interior points",
+               verify.restricted_complexity_checks("complexity-bound", excess))
 
 
 def test_criterion_05_self_concordance_sampled():
-    worst_slack, worst_eq = verify.self_concordance(np.random.default_rng(SEED), 10_000, 500)
-    ok = worst_slack >= -1e-12 and worst_eq <= 1e-12
-    _criterion(
-        5,
-        "self-concordance slack nonnegative, tight on single coordinates",
-        ok,
-        f"10^4 samples, min slack = {worst_slack:.3e}; 500 single-coordinate, max |slack| = {worst_eq:.3e}",
-    )
+    measured = verify.self_concordance(np.random.default_rng(SEED), 10_000, 500)
+    _criterion(5, "self-concordance slack nonnegative, tight on single coordinates",
+               "10^4 samples, 500 single-coordinate",
+               verify.self_concordance_checks("self-concordance", measured))
 
 
 def test_criterion_06_pseudo_quadratic_certificates():
-    deficient, worst_gap, worst_cap, worst_unit = verify.pseudo_quadratic_certificates(
-        np.random.default_rng(SEED), 100, 30, 20
-    )
-    ok = worst_gap <= 1e-6 and worst_cap <= 1.0 + 1e-10 and worst_unit <= 1e-10
-    _criterion(
-        6,
-        "pseudoinverse quadratic matches the concave-maximum oracle",
-        ok,
-        f"100 PSD ({deficient} rank-deficient), max |value - oracle| = {worst_gap:.3e}; "
-        f"dominated max = {worst_cap - 1.0:+.3e} vs 1; rank-one max |value - 1| = {worst_unit:.3e}",
-    )
+    measured = verify.pseudo_quadratic_certificates(np.random.default_rng(SEED), 100, 30, 20)
+    _criterion(6, "pseudoinverse quadratic matches the concave-maximum oracle",
+               f"100 PSD ({measured[0]} rank-deficient), 30 dominated, 20 rank-one",
+               verify.pseudo_quadratic_checks("pseudo-quadratic", measured))
 
 
 def test_criterion_07_path_integrity(u_batch, v_batch):
-    a = verify.worst_path([u_batch[0], v_batch[0]])
-    ok = a.max_decrement <= 0.25 and a.max_residual <= 1e-8 and a.min_entry > 0.0 and a.max_gap_excess <= 1e-8
-    _criterion(
-        7,
-        "every trace row is proximal, feasible, positive, and gap-bounded",
-        ok,
-        f"70 traces: max decrement = {a.max_decrement:.3e}, max residual = {a.max_residual:.3e}, "
-        f"min entry = {a.min_entry:.3e}, max gap excess = {a.max_gap_excess:.3e}",
-    )
+    audit = verify.worst_path([u_batch[0], v_batch[0]])
+    _, *rows = verify.path_checks("UV", audit)
+    _criterion(7, "every trace row is proximal, feasible, positive, and gap-bounded, "
+               "and the oracle dual certifies", "U and V batches", [_count(audit, 70), *rows])
 
 
 def test_criterion_08_vertex_distance_band():
-    worst_low, worst_high = verify.vertex_band(streams.criterion_08_problems(SEED + 3))
-    _criterion(
-        8,
-        "simplex vertices stay inside the distance band",
-        worst_low >= 0.0 and worst_high <= 0.0,
-        f"20 vertices: min dist - floor = {worst_low:.3e}, max dist - sqrt(2) = {worst_high:.3e}",
-    )
+    band = verify.vertex_band(streams.criterion_08_problems(SEED + 3))
+    _criterion(8, "simplex vertices stay inside the distance band", "20 vertices",
+               verify.vertex_band_checks("vertex-band", band))
 
 
 def test_criterion_09_null_basis_structure():
     shapes = [(2,), (3,), (2, 2), (3, 2), (3, 3), (2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3)]
-    audits = [verify.null_basis_structure(dims, variant) for dims in shapes for variant in "UV"]
-    count_ok = all(a.count == a.expected == a.dim for a in audits)
-    worst_sum = max(a.mode_sum for a in audits if a.mode_sum is not None)
-    _criterion(
-        9,
-        "null bases have the predicted counts and zero mode-sums",
-        count_ok and worst_sum <= 1e-12,
-        f"{len(shapes)} shapes up to 3x3x3, counts {'match' if count_ok else 'differ'}, "
-        f"max V mode-sum = {worst_sum:.3e}",
-    )
+    checks = [
+        check
+        for dims in shapes
+        for variant in "UV"
+        for check in verify.null_basis_checks(dims, variant, verify.null_basis_structure(dims, variant))
+    ]
+    _criterion(9, "null bases have the predicted counts and ranks, lie in the kernel, "
+               "and have zero mode-sums", f"{len(shapes)} shapes up to 3x3x3, U and V", checks)
 
 
-def test_criterion_10_iteration_scaling():
-    gen = SplitMix64(SEED + 4)
-    sizes = (4, 8, 16, 24)
-    counts = []
-    within_bound = True
+def test_criterion_10_iteration_scaling(tmp_path):
+    table = tmp_path / "scaling.csv"
+    sizes = ("4", "8", "16", "24")
     start = time.perf_counter()
-    for n in sizes:
-        problem = random_instance((n, n), "U", gen, "uniform")
-        report = short_step_solve(problem, SolverConfig(epsilon=1e-4))
-        counts.append(report.iterations)
-        within_bound = within_bound and report.iterations <= predicted_iterations(problem, 1e-4)
+    rc = cli.main([
+        "benchmark", "--sizes", *sizes, "--trials", "1", "--epsilon", "1e-4",
+        "--seed", str(SEED + 4), "--out", str(table),
+    ])
     elapsed = time.perf_counter() - start
-    slope = float(np.polyfit(np.log(sizes), np.log(counts), 1)[0])
-    ok = 0.8 <= slope <= 1.3 and within_bound and elapsed < 300.0
-    _criterion(
-        10,
-        "iteration counts scale like the theory",
-        ok,
-        f"n = {sizes}, iterations = {tuple(counts)}, slope = {slope:.3f}, "
-        f"bound (C0 = {DEFAULT_C0:g}) {'holds' if within_bound else 'violated'}, {elapsed:.1f}s",
-    )
+    *lines, fit = table.read_text().splitlines()
+    rows = list(csv.DictReader(lines))
+    iterations = tuple(int(row["iterations"]) for row in rows)
+    within_bound = all(int(row["iterations"]) <= float(row["predicted_bound"]) for row in rows)
+    slope = float(fit.rpartition(": ")[2])
+    _criterion(10, "iteration counts scale like the theory", f"n = ({', '.join(sizes)})", [
+        ("benchmark", rc == 0, f"iterations = {iterations}"),
+        ("slope", 0.8 <= slope <= 1.3, f"slope = {slope:.3f}"),
+        ("bound", within_bound,
+         f"bound (C0 = {DEFAULT_C0:g}) {'holds' if within_bound else 'violated'}"),
+        ("budget", elapsed < 300.0, f"{elapsed:.1f}s"),
+    ])
 
 
 def test_criterion_11_deterministic_outputs(tmp_path, capsys):
@@ -187,12 +168,9 @@ def test_criterion_11_deterministic_outputs(tmp_path, capsys):
     rc_b = cli.main(args + ["--out", str(path_b)])
     bench_same = rc_a == rc_b == 0 and path_a.read_bytes() == path_b.read_bytes()
 
-    ok = verify_same and bench_same
-    _criterion(
-        11,
-        "verify and benchmark are byte-identical under a fixed seed",
-        ok,
-        f"verify {'identical' if verify_same else 'differs'} "
-        f"({len(first)} bytes), benchmark {'identical' if bench_same else 'differs'} "
-        f"({path_a.stat().st_size} bytes)",
-    )
+    _criterion(11, "verify and benchmark are byte-identical under a fixed seed", "two runs each", [
+        ("verify", verify_same,
+         f"verify {'identical' if verify_same else 'differs'} ({len(first)} bytes)"),
+        ("benchmark", bench_same,
+         f"benchmark {'identical' if bench_same else 'differs'} ({path_a.stat().st_size} bytes)"),
+    ])

@@ -3,10 +3,10 @@ import pytest
 
 from totipm.barrier import (
     CertificateError,
-    check_self_concordance,
     complexity_value,
     directional_forms,
     pseudo_quadratic,
+    self_concordance_slack,
 )
 from totipm.polytope import (
     MarginalProblem,
@@ -67,9 +67,7 @@ class TestSelfConcordance:
             n = int(rng.integers(2, 10))
             u = rng.uniform(0.05, 3.0, size=n)
             v = rng.normal(size=n)
-            ok, slack = check_self_concordance(directional_forms(u, v))
-            assert ok
-            assert slack >= -1e-12
+            assert self_concordance_slack(directional_forms(u, v)) >= -1e-12
 
     def test_single_coordinate_equality(self):
         rng = np.random.default_rng(35)
@@ -78,9 +76,7 @@ class TestSelfConcordance:
             u = rng.uniform(0.1, 2.0, size=n)
             v = np.zeros(n)
             v[int(rng.integers(0, n))] = rng.normal()
-            ok, slack = check_self_concordance(directional_forms(u, v))
-            assert ok
-            assert abs(slack) <= 1e-12
+            assert abs(self_concordance_slack(directional_forms(u, v))) <= 1e-12
 
 
 class TestPseudoQuadratic:

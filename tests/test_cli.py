@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import totipm.cli as cli
 from totipm.instances import SplitMix64, emit_instance, random_instance
 from totipm.ipm import SolverError
 from totipm.polytope import MarginalProblem
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -70,6 +73,17 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: instance field 'marginals'")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("low, rc", [(1e-200, 2), (1e-160, 2), (1e-140, 0)])
+    def test_start_point_floor_exit_code(self, tmp_path, capsys, low, rc):
+        # the start point's smallest entry is low**2: 0 at 1e-200 and the
+        # subnormal 1e-320 at 1e-160 fall below the domain floor 1e-300
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"dims": [3, 3], "variant": "U", "cost": [0, 1, 2] * 3,
+                                    "marginals": [[low, 0.5, 0.5]] * 2}))
+        assert cli.main(["solve", str(path)]) == rc
+        message = "error: instance field 'marginals': the product of the marginal minima is"
+        assert capsys.readouterr().err.startswith(f"{message} {low**2!r}, below") == (rc == 2)
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -312,3 +326,14 @@ class TestBlasThreads:
         monkeypatch.setenv(variable, "2")
         assert cli.main(["solve", matching_instance]) == 0
         assert calls == []
+
+
+@pytest.mark.parametrize("command", ["solve", "benchmark"])
+def test_readme_example_is_current(command, matching_instance, capsys):
+    # the README block that starts with "$ totipm COMMAND" shows its stdout
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    (block,) = [block for block in blocks if block.startswith(f"\n$ totipm {command} ")]
+    _, line, stdout = block.split("\n", 2)
+    argv = [matching_instance if arg == "matching.json" else arg for arg in line.split()[2:]]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == stdout

@@ -1,7 +1,8 @@
 """The public surface: every ``__all__`` entry resolves, the package
 itself re-exports only the solve path, and its submodules, the names of
-``polytope`` and ``instances``, the solver's settings and the solve
-command's options are fixed sets."""
+``polytope``, ``instances``, ``oracle`` and ``verify`` (each property's
+measure and judge), the solver's settings and the solve command's options
+are fixed sets."""
 
 import argparse
 import dataclasses
@@ -55,6 +56,19 @@ INSTANCES_NAMES = [
     "emit_report",
 ]
 
+ORACLE_NAMES = ["StandardFormLP", "SimplexResult", "to_lp", "solve_lp", "min_dual_slack", "dual_value"]
+
+VERIFY_NAMES = [
+    "SUITES", "oracle_suite", "barrier_suite", "nullspace_suite", "run_suites",
+    "path_audit", "worst_path", "path_checks",
+    "orthant_complexity", "orthant_complexity_checks",
+    "restricted_complexity", "restricted_complexity_checks",
+    "self_concordance", "self_concordance_checks",
+    "pseudo_quadratic_certificates", "pseudo_quadratic_checks",
+    "vertex_band", "vertex_band_checks",
+    "null_basis_structure", "null_basis_checks",
+]
+
 MODULES = ["totipm"] + [f"totipm.{m.name}" for m in pkgutil.iter_modules(totipm.__path__)]
 
 
@@ -76,7 +90,9 @@ def test_submodules():
 
 
 @pytest.mark.parametrize(
-    "name, names", [("polytope", POLYTOPE_NAMES), ("instances", INSTANCES_NAMES)]
+    "name, names",
+    [("polytope", POLYTOPE_NAMES), ("instances", INSTANCES_NAMES), ("oracle", ORACLE_NAMES),
+     ("verify", VERIFY_NAMES)],
 )
 def test_module_names(name, names):
     assert importlib.import_module(f"totipm.{name}").__all__ == names
